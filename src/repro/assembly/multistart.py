@@ -314,18 +314,7 @@ def _multistart_parallel(
 
     def dispatch(task, task_items):
         return resilient_map(
-            task,
-            task_items,
-            executor=parallel.backend,
-            workers=parallel.workers,
-            max_retries=runtime.max_retries,
-            backoff_base=runtime.backoff_base,
-            backoff_max=runtime.backoff_max,
-            backoff_jitter=runtime.backoff_jitter,
-            seed=runtime.retry_seed,
-            budget=budget,
-            fault_plan=runtime.fault_plan,
-            pool=parallel.pool(),
+            task, task_items, pool=parallel.pool(), runtime=runtime, budget=budget
         )
 
     def absorb(wstats: dict) -> None:

@@ -36,6 +36,7 @@ from ..assembly.greedy import greedy_labels_for_graph
 from ..assembly.local_search import local_search
 from ..core.config import BalancedConfig
 from ..core.partition import Partition
+from ..core.punch import _supervisor_section
 from ..core.result import BalancedResult
 from ..filtering.pipeline import run_filtering
 from ..graph.graph import Graph
@@ -58,12 +59,6 @@ CHECKPOINT_KIND = "balanced"
 def balanced_cell_bound(total_size: int, k: int, epsilon: float) -> int:
     """``U* = floor((1 + eps) * ceil(n / k))``."""
     return int(math.floor((1.0 + epsilon) * math.ceil(total_size / k)))
-
-
-def _supervisor_section(parallel) -> dict:
-    """Supervisor telemetry of the runtime the run actually used, if any."""
-    sup = getattr(parallel, "supervisor", None)
-    return sup.report() if sup is not None else {}
 
 
 def run_balanced_punch(
@@ -394,7 +389,6 @@ def _balanced_parallel(
     from ..parallel.tasks import unbalanced_start_task
     from ..runtime.executor import resilient_map
 
-    runtime = config.runtime
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_starts)]
     rebal_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_starts)]
     handle = parallel.share(frag)
@@ -403,18 +397,7 @@ def _balanced_parallel(
     )
     with profile_span("balanced.unbalanced_starts"):
         results, _report = resilient_map(
-            task,
-            start_seeds,
-            executor=parallel.backend,
-            workers=parallel.workers,
-            max_retries=runtime.max_retries,
-            backoff_base=runtime.backoff_base,
-            backoff_max=runtime.backoff_max,
-            backoff_jitter=runtime.backoff_jitter,
-            seed=runtime.retry_seed,
-            budget=budget,
-            fault_plan=runtime.fault_plan,
-            pool=parallel.pool(),
+            task, start_seeds, pool=parallel.pool(), runtime=config.runtime, budget=budget
         )
 
     solutions = []

@@ -42,9 +42,6 @@ class ParallelConfig:
 
     backend: str = "processes"  # "serial" | "threads" | "processes"
     workers: Optional[int] = None  # None = os.cpu_count()
-    # LPT scheduling granularity: subproblem batches per worker per sweep
-    # (more batches = better load balance, more dispatch overhead)
-    batches_per_worker: int = 4
 
     def __post_init__(self) -> None:
         if self.backend not in ("serial", "threads", "processes"):
@@ -53,8 +50,6 @@ class ParallelConfig:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (or None for cpu_count)")
-        if self.batches_per_worker < 1:
-            raise ValueError("batches_per_worker must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,17 +58,15 @@ class RuntimeConfig:
 
     The defaults are inert: no deadline, no per-subproblem timeout, no
     checkpointing, no fault injection — only the bounded-retry and
-    executor/solver degradation safety nets are armed.  ``fault_plan`` is
-    exclusively a test/CI hook.
+    pool/solver degradation safety nets are armed.  ``fault_plan`` is
+    exclusively a test/CI hook.  The backoff ceiling, jitter, and jitter
+    seed are constants of :mod:`repro.runtime.executor`.
     """
 
     time_budget: Optional[float] = None  # wall-clock seconds for the whole run
     subproblem_timeout: Optional[float] = None  # per min-cut subproblem (pooled only)
     max_retries: int = 2  # extra attempts per failed subproblem
     backoff_base: float = 0.05  # first retry delay (seconds); 0 disables sleeps
-    backoff_max: float = 1.0  # backoff ceiling
-    backoff_jitter: float = 0.1  # jitter fraction on top of the backoff
-    retry_seed: int = 0  # seeds the backoff jitter
     checkpoint_path: Optional[str] = None  # where multistart/balanced loops checkpoint
     checkpoint_every: int = 4  # loop iterations between checkpoint writes
     checkpoint_generations: int = 2  # rotated .bakN generations kept per checkpoint
@@ -137,8 +130,6 @@ class FilterConfig:
     # (paper's min cut, bit-identical default) or "flowcutter" (Pareto
     # enumeration; see docs/CUT_ENGINES.md and repro.cutengine)
     cut_engine: str = "push_relabel"
-    executor: str = "serial"
-    workers: Optional[int] = None
     # memoize min-cut solves by network fingerprint (bit-identical reuse;
     # see src/repro/perf/cut_cache.py)
     use_cut_cache: bool = True

@@ -28,8 +28,12 @@ from .result import PunchResult
 __all__ = ["run_punch"]
 
 
-def _supervisor_section(parallel, supervisor) -> dict:
-    """Telemetry of whichever supervisor watched this run, if any."""
+def _supervisor_section(parallel, supervisor=None) -> dict:
+    """Telemetry of whichever supervisor watched this run, if any.
+
+    Shared by the unbalanced and balanced drivers: the runtime's attached
+    supervisor wins, else the one the driver started itself.
+    """
     sup = getattr(parallel, "supervisor", None)
     if sup is None:
         sup = supervisor
@@ -195,6 +199,6 @@ def _run_per_component(
         filter_result=last_filt,
         assembly_stats=last_stats,
         parallel_report=parallel.report() if parallel is not None else {},
-        supervisor_report=_supervisor_section(parallel, None),
+        supervisor_report=_supervisor_section(parallel),
         **total,
     )

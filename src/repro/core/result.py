@@ -27,10 +27,6 @@ def sanitizer_section(report: dict) -> dict:
     return report
 
 
-# historical private alias (pre-serving callers)
-_sanitizer_section = sanitizer_section
-
-
 @dataclass
 class PunchResult:
     """Outcome of one unbalanced PUNCH run (paper Table 1 quantities)."""
@@ -89,7 +85,7 @@ class PunchResult:
             report["parallel"] = dict(self.parallel_report)
         if self.supervisor_report:
             report["supervisor"] = dict(self.supervisor_report)
-        return _sanitizer_section(report)
+        return sanitizer_section(report)
 
     def summary(self) -> str:
         """One-line human-readable result summary."""
@@ -163,7 +159,7 @@ class BalancedResult:
             report["parallel"] = dict(self.parallel_report)
         if self.supervisor_report:
             report["supervisor"] = dict(self.supervisor_report)
-        return _sanitizer_section(report)
+        return sanitizer_section(report)
 
     def summary(self) -> str:
         line = (

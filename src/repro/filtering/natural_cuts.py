@@ -16,7 +16,7 @@ the sweep O(n).
 
 Mirroring the paper's parallelization, each sweep first *collects* all
 subproblems sequentially (BFS + core marking, which determines the centers),
-then solves the min-cut instances through an executor.
+then solves the min-cut instances inline or on the run's worker pool.
 
 Resilience (see ``docs/RESILIENCE.md``): subproblems run through
 :func:`~repro.runtime.executor.resilient_map`, each min-cut solve falls back
@@ -46,7 +46,7 @@ from ..lint.sanitizer import get_sanitizer
 from ..perf.cut_cache import CutCache
 from ..perf.timers import profile_span
 from ..runtime.budget import RunBudget
-from ..runtime.executor import resilient_map
+from ..runtime.executor import ExecutionReport, resilient_map
 from ..runtime.faults import FaultPlan
 from .cut_problem import CutProblem, build_cut_problem
 
@@ -57,6 +57,12 @@ __all__ = [
     "collect_cut_regions",
     "SOLVER_FALLBACKS",  # re-export; canonical home is repro.cutengine.base
 ]
+
+#: LPT scheduling granularity of the pooled sweep: center batches per worker
+#: (more batches = better load balance, more dispatch overhead)
+BATCHES_PER_WORKER = 4
+
+_MAX_ERROR_SAMPLES = 8
 
 
 @dataclass
@@ -77,7 +83,7 @@ class NaturalCutStats:
     skipped: int = 0  # subproblems dropped after exhausting attempts
     deadline_skipped: int = 0  # subproblems never solved (budget expired)
     solver_fallbacks: int = 0  # solves that succeeded on a fallback solver
-    executor_degradations: int = 0  # processes -> threads -> serial demotions
+    executor_degradations: int = 0  # pool -> inline demotions
     cache_pressure_events: int = 0  # chaos-injected cut-cache shrinks
     # cut-cache accounting (src/repro/perf/cut_cache.py)
     cache_hits: int = 0  # subproblems answered from the CutCache
@@ -102,6 +108,17 @@ class NaturalCutStats:
         if self.deadline_expired:
             out["deadline_expired"] = True
         return out
+
+    def absorb(self, report: ExecutionReport) -> None:
+        """Fold one dispatch's resilience accounting into these counters."""
+        self.retries += report.retries
+        self.timeouts += report.timeouts
+        self.skipped += report.skipped
+        self.deadline_skipped += report.deadline_skipped
+        self.executor_degradations += report.executor_degradations
+        self.final_executor = report.final_executor
+        room = max(0, _MAX_ERROR_SAMPLES - len(self.error_samples))
+        self.error_samples.extend(report.error_samples[:room])
 
 
 def _collect_sweep(
@@ -272,8 +289,6 @@ def detect_natural_cuts(
     C: int = 2,
     rng: np.random.Generator | None = None,
     solver: str = "push_relabel",
-    executor: str = "serial",
-    workers: int | None = None,
     runtime: RuntimeConfig | None = None,
     budget: RunBudget | None = None,
     cut_cache: CutCache | None = None,
@@ -292,24 +307,24 @@ def detect_natural_cuts(
     ``cut_cache`` memoizes solves by network fingerprint: subproblems whose
     contracted flow network was already solved reuse the cached
     ``(value, source side)`` instead of running the flow solver again.  The
-    cache is consulted and populated in the driver thread, so it composes
-    with every executor tier.  A hit is bit-identical to a fresh solve
-    (equal fingerprints imply identical networks), so caching never changes
-    the detected cuts.
+    cache is consulted and populated in the driver thread.  A hit is
+    bit-identical to a fresh solve (equal fingerprints imply identical
+    networks), so caching never changes the detected cuts.
 
-    ``parallel`` (a :class:`~repro.parallel.pool.ParallelRuntime`) switches
-    to the handle-based pool path: the sweep collects only centers, and
+    Without ``parallel`` every subproblem is solved inline.  ``parallel``
+    (a :class:`~repro.parallel.pool.ParallelRuntime`) switches to the
+    handle-based pool path: the sweep collects only centers, and
     LPT-scheduled center batches are solved against the shared-memory graph
-    on the persistent pool (``executor``/``workers`` are then taken from the
-    runtime; with ``backend="serial"`` the same batches run inline).  The
-    detected cut set is the union of per-region min cuts, which is
-    independent of batching and completion order, so the result is
-    bit-identical to the sequential path for the same ``rng``.
+    on the run's persistent pool (with ``backend="serial"``, or once the
+    pool is retired, the same batches run inline).  The detected cut set is
+    the union of per-region min cuts, which is independent of batching and
+    completion order, so the result is bit-identical to the sequential path
+    for the same ``rng``.
 
     ``engine`` names a registered :class:`~repro.cutengine.base.CutEngine`
     ("push_relabel" = the paper's min cut, bit-identical default;
     "flowcutter" = Pareto-front enumeration).  Engine solves are pure
-    functions of the subproblem, so every executor/caching/ordering
+    functions of the subproblem, so every backend/caching/ordering
     guarantee above holds for every engine; cache entries are keyed
     per-engine and can never cross engines.
     """
@@ -320,7 +335,7 @@ def detect_natural_cuts(
     eng = get_engine(engine)  # fail fast on unknown names
     stats = NaturalCutStats()
     stats.cut_engine = engine
-    stats.final_executor = executor if parallel is None else parallel.backend
+    stats.final_executor = "serial" if parallel is None else parallel.backend
     marked = np.zeros(g.m, dtype=bool)
 
     def account(problem: CutProblem, value: float, side: np.ndarray, fallbacks: int) -> None:
@@ -356,35 +371,12 @@ def detect_natural_cuts(
             stats.cache_misses += len(pending)
         else:
             pending = problems
-        # functools.partial of a module-level function stays picklable for
-        # the "processes" executor (a lambda would not)
         solve = functools.partial(
             _solve_one, solver=solver, fault_plan=runtime.fault_plan, engine=engine
         )
         with profile_span("natural_cuts.solve"):
-            results, report = resilient_map(
-                solve,
-                pending,
-                executor=executor,
-                workers=workers,
-                timeout=runtime.subproblem_timeout,
-                max_retries=runtime.max_retries,
-                backoff_base=runtime.backoff_base,
-                backoff_max=runtime.backoff_max,
-                backoff_jitter=runtime.backoff_jitter,
-                seed=runtime.retry_seed,
-                budget=budget,
-                fault_plan=runtime.fault_plan,
-            )
-        stats.retries += report.retries
-        stats.timeouts += report.timeouts
-        stats.skipped += report.skipped
-        stats.deadline_skipped += report.deadline_skipped
-        stats.executor_degradations += report.executor_degradations
-        stats.final_executor = report.final_executor
-        for msg in report.error_samples:
-            if len(stats.error_samples) < 8:
-                stats.error_samples.append(msg)
+            results, report = resilient_map(solve, pending, runtime=runtime, budget=budget)
+        stats.absorb(report)
         for prob, out in zip(pending, results):
             if out is None:
                 continue  # skipped subproblem: its cuts are simply not marked
@@ -435,7 +427,7 @@ def _pooled_sweep(
     workers = parallel.workers or os.cpu_count() or 1
     if parallel.backend == "serial":
         workers = 1
-    n_batches = max(1, workers * parallel.config.batches_per_worker)
+    n_batches = max(1, workers * BATCHES_PER_WORKER)
     from ..parallel.pool import lpt_batches
 
     batches = lpt_batches([ring for _, ring in regions], n_batches)
@@ -458,27 +450,12 @@ def _pooled_sweep(
         results, report = resilient_map(
             task,
             batch_centers,
-            executor=parallel.backend,
-            workers=parallel.workers,
-            timeout=timeout,
-            max_retries=runtime.max_retries,
-            backoff_base=runtime.backoff_base,
-            backoff_max=runtime.backoff_max,
-            backoff_jitter=runtime.backoff_jitter,
-            seed=runtime.retry_seed,
-            budget=budget,
-            fault_plan=runtime.fault_plan,
             pool=parallel.pool(),
+            runtime=runtime,
+            budget=budget,
+            timeout=timeout,
         )
-    stats.retries += report.retries
-    stats.timeouts += report.timeouts
-    stats.skipped += report.skipped
-    stats.deadline_skipped += report.deadline_skipped
-    stats.executor_degradations += report.executor_degradations
-    stats.final_executor = report.final_executor
-    for msg in report.error_samples:
-        if len(stats.error_samples) < 8:
-            stats.error_samples.append(msg)
+    stats.absorb(report)
     for out in results:
         if out is None:
             continue  # skipped batch: its cuts are simply not marked

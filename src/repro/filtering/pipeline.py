@@ -110,7 +110,7 @@ def run_filtering(
     ``parallel`` (a :class:`~repro.parallel.pool.ParallelRuntime`) routes
     natural-cut detection through the shared-memory worker pool; the
     detected cuts — and therefore the fragment graph — are bit-identical
-    to the sequential path.  It overrides ``config.executor``/``workers``.
+    to the sequential path.
 
     ``cut_cache`` injects a caller-owned (possibly long-lived) cache of
     min-cut solves instead of the per-run cache ``config.use_cut_cache``
@@ -163,8 +163,6 @@ def run_filtering(
                 C=config.coverage,
                 rng=rng,
                 solver=config.flow_solver,
-                executor=config.executor,
-                workers=config.workers,
                 runtime=runtime,
                 budget=budget,
                 cut_cache=cut_cache,

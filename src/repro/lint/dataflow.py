@@ -18,9 +18,9 @@ REPRO111
 REPRO112
     A ``numpy.random.Generator`` crossing a process boundary: a
     generator-typed value appearing in the payload of a
-    ``resilient_map`` / ``map_subproblems`` / ``WorkerPool.map_ordered`` /
-    ``executor.submit`` dispatch (directly, inside a tuple/partial, or
-    captured by a locally-defined payload function).  Generators do not
+    ``resilient_map`` / ``WorkerPool.map_ordered`` / ``executor.submit``
+    dispatch (directly, inside a tuple/partial, or captured by a
+    locally-defined payload function).  Generators do not
     share state across pickling — each worker would replay the same draws
     while the driver's copy advances, silently forking the stream.
     Payloads must carry *derived seeds*, never live generators.
@@ -57,7 +57,7 @@ __all__ = [
 _UNSEEDED_CTORS = ("numpy.random.default_rng", "numpy.random.SeedSequence")
 
 #: callables that dispatch payloads onto worker processes
-_DISPATCH_FUNCS = {"resilient_map", "map_subproblems"}
+_DISPATCH_FUNCS = {"resilient_map"}
 _DISPATCH_METHODS = {"map_ordered", "submit", "map"}
 
 #: a Generator-typed annotation mentions one of these terminal names

@@ -7,12 +7,12 @@ same cores).  This module provides the equivalent for process pools:
 
 - a **graph registry** shared by the driver and its workers: graphs are
   addressed by handle token, resolved to the original object in-process
-  (serial/threads tiers) or lazily attached from shared memory in pool
-  workers — so a task pickles a token, never an array;
+  (inline runs and thread pools) or lazily attached from shared memory in
+  pool workers — so a task pickles a token, never an array;
 - :class:`WorkerPool` — one ``ProcessPoolExecutor`` (or
   ``ThreadPoolExecutor``) created **once per run** and reused across
-  filtering sweeps, multistart starts, and combination rounds, instead of
-  one pool per map call;
+  filtering sweeps, multistart starts, and combination rounds; it is the
+  only place in the package that constructs an executor;
 - :func:`lpt_batches` — size-aware batch scheduling: subproblems are dealt
   largest-first onto the least-loaded batch (classic LPT), which
   approximates work stealing with plain executor futures;
@@ -20,7 +20,7 @@ same cores).  This module provides the equivalent for process pools:
   phases: owns the pool and every :class:`~.shared_graph.SharedGraph`
   export, merges worker-side cache counters and profiler spans back into
   the parent, and guarantees cleanup (including when the pool breaks and
-  execution degrades to threads/serial).
+  the rest of the run executes inline).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def unregister_graph(token: str) -> None:
 def resolve_graph(handle: SharedGraphHandle) -> Graph:
     """The graph behind a handle, wherever this code runs.
 
-    In the driver (and its thread/serial fallbacks) the token hits the
+    In the driver (inline runs and thread pools) the token hits the
     registry entry made at export time — the original object, zero cost.
     In a pool worker the first resolution attaches the shared-memory view
     and caches it, so attachment happens once per worker per graph.
@@ -164,17 +164,17 @@ def lpt_batches(costs: Sequence[float], n_batches: int) -> List[List[int]]:
 class WorkerPool:
     """A process (or thread) pool that lives for the whole run.
 
-    Duck-typed against by :func:`repro.runtime.executor.resilient_map` and
-    :func:`repro.filtering.executor.map_subproblems` (``kind``, ``executor``,
-    ``usable()``, ``mark_broken()``, ``health_check()``) so neither module
-    needs to import this package.  ``on_broken`` is invoked exactly once when
-    the pool collapses (e.g. a worker died) — the owning
-    :class:`ParallelRuntime` uses it to release shared-memory segments that
-    no worker can read anymore.  ``mark_broken`` may race in from several
-    failure sites at once (harvest loop, fast-path map, pool construction,
-    the supervisor watchdog); a lock elects exactly one winner to run the
-    shutdown + callback, so the release path stays single-shot under
-    concurrency.
+    :func:`repro.runtime.executor.resilient_map` dispatches onto it
+    (``kind``, ``executor``, ``supervisor``, ``usable()``, ``mark_broken()``,
+    ``health_check()``) without importing this package.  ``workers=None``
+    means ``os.cpu_count()``; an explicit count must be positive.
+    ``on_broken`` is invoked exactly once when the pool collapses (e.g. a
+    worker died) — the owning :class:`ParallelRuntime` uses it to release
+    shared-memory segments that no worker can read anymore.
+    ``mark_broken`` may race in from several failure sites at once (harvest
+    loop, fast-path map, the supervisor watchdog); a lock elects exactly one
+    winner to run the shutdown + callback, so the release path stays
+    single-shot under concurrency.
     """
 
     def __init__(
@@ -189,9 +189,9 @@ class WorkerPool:
         if kind not in ("processes", "threads"):
             raise ValueError(f"pool kind must be 'processes' or 'threads', got {kind!r}")
         self.kind = kind
-        self.workers = int(workers) if workers else (os.cpu_count() or 1)
+        self.workers = (os.cpu_count() or 1) if workers is None else int(workers)
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValueError(f"workers must be >= 1 (or None for cpu_count), got {workers}")
         self.on_broken = on_broken
         self.supervisor = supervisor
         self._broken = False
@@ -319,8 +319,8 @@ class ParallelRuntime:
         """Export ``g`` once (processes) or register it locally; memoized.
 
         The original graph is always registered in the driver's registry so
-        thread and serial tiers — including degradation fallbacks — resolve
-        the handle with zero overhead.
+        thread pools and inline runs — including the fallback after a pool
+        break — resolve the handle with zero overhead.
         """
         if self._closed:
             raise RuntimeError("ParallelRuntime is closed")
@@ -345,7 +345,7 @@ class ParallelRuntime:
         """Unlink every shared-memory export (driver registry stays intact).
 
         Called when the process pool breaks: the segments have no readers
-        left, and thread/serial fallbacks resolve handles through the
+        left, and the inline fallback resolves handles through the
         registry, so holding the memory would be a pure leak.  Future
         :meth:`share` calls re-export.  Safe from concurrent failure sites:
         the export map is detached under the lock, so each
@@ -371,14 +371,15 @@ class ParallelRuntime:
         lets the *next* dispatch respawn a fresh pool (a prior
         :meth:`share` re-exports the segments first, since the broken
         pool's exports were released); without one, the broken pool stays
-        retired and the degraded tiers finish the run.  Either way, work is
-        replayed from derived seeds, so the partition cannot change.
+        retired, this returns ``None``, and every later dispatch runs
+        inline.  Either way, work is replayed from derived seeds, so the
+        partition cannot change.
         """
         if self.backend == "serial" or self._closed:
             return None
         if self._pool is not None and not self._pool.usable():
             if self.supervisor is None or not self.supervisor.grant_restart():
-                return None  # broken; tiers degraded already, no budget left
+                return None  # broken, no restart budget: the rest runs inline
             self._pool = None
             self.pool_restarts += 1
         if self._pool is None:

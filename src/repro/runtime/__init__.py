@@ -10,10 +10,11 @@ pieces that turn that structure into a resilient runtime:
 - :mod:`~repro.runtime.budget` — :class:`RunBudget`, a shared deadline with
   cooperative cancellation checkpoints; on expiry each phase returns its
   best-so-far *valid* state instead of raising.
-- :mod:`~repro.runtime.executor` — :func:`resilient_map`, a fault-tolerant
-  wrapper over :func:`~repro.filtering.executor.map_subproblems` with
-  per-item timeouts, bounded retries with exponential backoff and seeded
-  jitter, and automatic degradation ``processes -> threads -> serial``.
+- :mod:`~repro.runtime.executor` — :func:`resilient_map`, the one
+  fault-tolerant dispatcher: it runs every item on the run's persistent
+  worker pool or inline, with per-item timeouts, bounded retries with
+  exponential backoff and seeded jitter, and degradation ``pool -> inline``
+  when the pool breaks.
 - :mod:`~repro.runtime.checkpoint` — crash-consistent checkpoint files for
   the multistart and balanced loops (checksummed manifest, rotated
   generations, safe degradation), so killed runs can be resumed.

@@ -1,32 +1,38 @@
 """Fault-tolerant map over independent subproblems.
 
-:func:`resilient_map` wraps :func:`~repro.filtering.executor.map_subproblems`
-with the resilience policy described in ``docs/RESILIENCE.md``:
+:func:`resilient_map` is the one dispatcher behind every subproblem map
+(natural-cut sweeps, multistart waves, the balanced driver's starts).  Work
+runs in exactly one of two places: on the persistent
+:class:`~repro.parallel.pool.WorkerPool` it is handed (the run's pool, from
+:meth:`~repro.parallel.pool.ParallelRuntime.pool`), or inline in the calling
+thread when it gets none.  It never builds an executor of its own.  The
+policy, described in ``docs/RESILIENCE.md``:
 
 - **per-item timeout** — a task that exceeds ``timeout`` seconds counts as a
-  failed attempt (pooled executors only; a serial loop cannot preempt).
-- **bounded retry** — every item gets ``max_retries`` extra attempts, with
-  exponential backoff and seeded jitter between attempts.
-- **tier degradation** — ``BrokenProcessPool`` / pickling errors demote the
-  executor ``processes -> threads -> serial`` and re-run everything not yet
-  finished; degradation does not consume item attempts.
+  failed attempt (pool only; an inline loop cannot preempt).
+- **bounded retry** — every item gets ``runtime.max_retries`` extra
+  attempts, with exponential backoff and seeded jitter between attempts.
+- **degradation** — ``BrokenProcessPool`` / pickling errors re-run
+  everything not yet finished inline (*pool → inline*) without consuming
+  item attempts.  A broken pool is also marked broken, which retires it for
+  the rest of the run; an unpicklable payload indicts only its own map, so
+  the healthy pool stays in service.
 - **deadline skips** — when a :class:`~repro.runtime.budget.RunBudget`
   expires, unfinished items are skipped (result ``None``) instead of raised.
 
 Items that exhaust their attempts are also skipped, so the caller always
 gets a result list of the same length as the input; the paired
 :class:`ExecutionReport` accounts for every retry, timeout, skip, and
-degradation.  With no timeout, faults, or budget, pooled tiers take the
-plain chunked ``map_subproblems`` fast path, keeping no-fault overhead
-negligible.
+degradation.  With no timeout, faults, or budget, the pool takes a plain
+``executor.map`` fast path, keeping no-fault overhead negligible.
 """
 
 from __future__ import annotations
 
-import contextlib
 import pickle
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TypeVar
@@ -40,15 +46,23 @@ __all__ = ["ExecutionReport", "resilient_map", "DEGRADATION_ORDER"]
 
 T = TypeVar("T")
 
-#: executor tiers from most to least parallel; degradation walks rightward
-DEGRADATION_ORDER = ("processes", "threads", "serial")
+#: execution tiers from most to least parallel: the run's pool, then inline
+DEGRADATION_ORDER = ("processes", "serial")
 
-#: exceptions that indict the executor tier rather than the task
+#: retry policy of a run without a ``RuntimeConfig`` (its defaults)
+_MAX_RETRIES = 2
+_BACKOFF_BASE = 0.05
+#: backoff ceiling (seconds), jitter fraction on top of it, and jitter seed
+BACKOFF_MAX = 1.0
+BACKOFF_JITTER = 0.1
+RETRY_SEED = 0
+
+#: exceptions that indict the pool rather than the task
 _DEGRADE_ERRORS = (BrokenExecutor, pickle.PicklingError)
 
 
 def _is_degrade_error(exc: BaseException) -> bool:
-    """True when the failure indicts the executor tier, not the task.
+    """True when the failure indicts the pool, not the task.
 
     CPython reports unpicklable callables inconsistently — lambdas defined
     at module scope raise :class:`pickle.PicklingError`, but *local* objects
@@ -70,10 +84,10 @@ class ExecutionReport:
     ``failures`` counts raised attempts (including ones that later succeeded
     on retry); ``skipped`` counts items that exhausted their attempts and
     ``deadline_skipped`` items never finished because the budget expired —
-    both appear as ``None`` in the result list.
+    both appear as ``None`` in the result list.  ``final_executor`` is the
+    pool's kind, or ``"serial"`` when the work finished inline.
     """
 
-    requested_executor: str = "serial"
     final_executor: str = "serial"
     items: int = 0
     succeeded: int = 0
@@ -101,21 +115,6 @@ class ExecutionReport:
             or self.executor_degradations
         )
 
-    def merge(self, other: "ExecutionReport") -> None:
-        """Accumulate another report (e.g. one per coverage sweep)."""
-        self.items += other.items
-        self.succeeded += other.succeeded
-        self.failures += other.failures
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.skipped += other.skipped
-        self.deadline_skipped += other.deadline_skipped
-        self.executor_degradations += other.executor_degradations
-        self.final_executor = other.final_executor
-        for msg in other.error_samples:
-            if len(self.error_samples) < _MAX_ERROR_SAMPLES:
-                self.error_samples.append(msg)
-
 
 def _fault_call(fn, item, plan: Optional[FaultPlan], key: int, attempt: int, in_process: bool):
     """Module-level task wrapper (stays picklable for process pools)."""
@@ -126,35 +125,18 @@ def _fault_call(fn, item, plan: Optional[FaultPlan], key: int, attempt: int, in_
     return fn(item)
 
 
-def _pool_unhealthy(pool, tier: str) -> bool:
-    """Pre-dispatch watchdog: True when the borrowed pool must be abandoned.
-
-    Duck-typed: pools without a ``health_check`` (or without a supervisor
-    behind it) are simply trusted, preserving classic behavior.  A failing
-    check has already marked the pool broken, so the caller degrades to the
-    next tier and the items are replayed from scratch — never resumed from
-    partial state.
-    """
-    if pool is None or getattr(pool, "kind", None) != tier:
-        return False
-    check = getattr(pool, "health_check", None)
-    if check is None:
-        return False
-    return not check()
-
-
-def _await_future(fut, wait, pool, use_pool):
+def _await_future(fut, wait, pool):
     """Harvest one future, heartbeat-slicing the wait on supervised pools.
 
     Without a caller timeout a hung worker would wedge the harvest loop
-    forever.  When the borrowed pool carries a supervisor, the wait is cut
-    into heartbeat-sized slices; between slices the watchdog inspects the
-    pool (liveness scan + sentinel probe) and converts a dead or hung pool
-    into an ordinary degrade error.  A single stuck future that survives
+    forever.  When the pool carries a supervisor, the wait is cut into
+    heartbeat-sized slices; between slices the watchdog inspects the pool
+    (liveness scan + sentinel probe) and converts a dead or hung pool into
+    an ordinary degrade error.  A single stuck future that survives
     ``max_stall_beats`` healthy probes is treated as a hung pool too, so
     one wedged worker cannot stall the run while its siblings idle.
     """
-    sup = getattr(pool, "supervisor", None) if use_pool else None
+    sup = pool.supervisor
     if sup is None:
         return fut.result(timeout=wait)
     beats = 0
@@ -183,140 +165,86 @@ def _await_future(fut, wait, pool, use_pool):
                 ) from None
 
 
-def _tier_chain(executor: str) -> List[str]:
-    if executor not in DEGRADATION_ORDER:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {tuple(reversed(DEGRADATION_ORDER))}"
-        )
-    return list(DEGRADATION_ORDER[DEGRADATION_ORDER.index(executor) :])
-
-
 class _Backoff:
     """Exponential backoff with seeded jitter; sleeps are skipped at base 0."""
 
-    def __init__(self, base: float, cap: float, jitter: float, seed: int) -> None:
+    def __init__(self, base: float) -> None:
         self.base = base
-        self.cap = cap
-        self.jitter = jitter
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(RETRY_SEED)
 
     def sleep(self, attempt: int) -> None:
         if self.base <= 0:
             return
-        delay = min(self.cap, self.base * (2.0 ** attempt))
-        delay *= 1.0 + self.jitter * float(self.rng.random())
+        delay = min(BACKOFF_MAX, self.base * (2.0 ** attempt))
+        delay *= 1.0 + BACKOFF_JITTER * float(self.rng.random())
         time.sleep(delay)
 
 
 def resilient_map(
     fn: Callable[[T], object],
     items: Sequence[T],
-    executor: str = "serial",
-    workers: Optional[int] = None,
     *,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    backoff_base: float = 0.05,
-    backoff_max: float = 1.0,
-    backoff_jitter: float = 0.1,
-    seed: int = 0,
-    budget: Optional[RunBudget] = None,
-    fault_plan: Optional[FaultPlan] = None,
     pool=None,
+    runtime=None,
+    budget: Optional[RunBudget] = None,
+    timeout: Optional[float] = None,
 ) -> tuple[List[Optional[object]], ExecutionReport]:
     """Apply ``fn`` to every item with the resilience policy; order preserved.
 
     Returns ``(results, report)`` where ``results[i]`` is ``fn(items[i])``
     or ``None`` when the item was skipped (attempts exhausted or deadline).
-    Never raises for per-item failures; programming errors such as an
-    unknown executor still raise.
+    Never raises for per-item failures.
 
-    ``pool`` is an optional persistent :class:`~repro.parallel.pool.WorkerPool`
-    (duck-typed — this module must not import the parallel package): the
-    tier matching ``pool.kind`` submits to it instead of constructing a
-    fresh executor.  When that tier degrades, ``pool.mark_broken()`` is
-    called before moving on, which lets the pool's owner release its
-    shared-memory exports (no worker can read them anymore) while the
-    thread/serial fallbacks keep resolving graphs through the in-process
-    registry.
+    ``pool`` is the run's :class:`~repro.parallel.pool.WorkerPool` (this
+    module must not import the parallel package, so it is not annotated);
+    ``None`` or a broken pool runs everything inline.  When the pool breaks
+    mid-map, ``pool.mark_broken()`` lets its owner release the shared-memory
+    exports no worker can read anymore, and the unfinished items run inline,
+    resolving graphs through the in-process registry.
+
+    ``runtime`` is the run's :class:`~repro.core.config.RuntimeConfig`, read
+    duck-typed for ``max_retries``, ``backoff_base`` and ``fault_plan``
+    (``None`` = its defaults).  ``timeout`` bounds each pooled attempt.
     """
+    if runtime is None:
+        max_retries, backoff_base, fault_plan = _MAX_RETRIES, _BACKOFF_BASE, None
+    else:
+        max_retries = runtime.max_retries
+        backoff_base = runtime.backoff_base
+        fault_plan = runtime.fault_plan
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
-    tiers = _tier_chain(executor)
-    report = ExecutionReport(requested_executor=executor, final_executor=executor)
+    if pool is not None and not pool.usable():
+        pool = None  # retired by an earlier break: the rest of the run is inline
+    report = ExecutionReport(final_executor="serial" if pool is None else pool.kind)
     report.items = len(items)
     results: List[Optional[object]] = [None] * len(items)
     if not items:
         return results, report
 
-    backoff = _Backoff(backoff_base, backoff_max, backoff_jitter, seed)
+    backoff = _Backoff(backoff_base)
     # (index, attempts_used) of items still owed a result
     pending: List[tuple[int, int]] = [(i, 0) for i in range(len(items))]
-    plain = timeout is None and fault_plan is None and budget is None
-
-    for tier_pos, tier in enumerate(tiers):
-        if not pending:
-            break
-        report.final_executor = tier
-
-        if plain and tier != "serial":
-            # fast path: nothing to inject, time, or cancel — use the chunked
-            # pool map and only fall back on executor-tier failures
-            # (imported lazily: filtering <-> runtime would otherwise cycle
-            # through core.config)
-            from ..filtering.executor import map_subproblems
-
-            if _pool_unhealthy(pool, tier):
-                report.executor_degradations += 1
-                continue  # watchdog verdict: replay everything on the next tier
-            try:
-                mapped = map_subproblems(
-                    fn, [items[i] for i, _ in pending], tier, workers, pool=pool
-                )
-            except Exception as exc:
-                if _is_degrade_error(exc):
-                    report.executor_degradations += 1
-                    report.record_error(exc)
-                    if pool is not None and pool.kind == tier:
-                        pool.mark_broken()
-                    continue  # next tier re-runs all of pending
-                # a task failed inside the batch: isolate it below with the
-                # per-item path on this same tier
-            else:
-                for (i, _), value in zip(pending, mapped):
-                    results[i] = value
-                report.succeeded += len(pending)
-                pending = []
-                break
-
-        if tier == "serial":
-            pending = _run_serial(
-                fn, items, pending, results, report, backoff,
-                max_retries, budget, fault_plan,
-            )
-        else:
-            pending, degraded = _run_pooled(
-                fn, items, pending, results, report, backoff, tier, workers,
-                timeout, max_retries, budget, fault_plan, pool,
-            )
-            if degraded and tier_pos + 1 < len(tiers):
-                continue
-        break
-
-    # anything still pending after the last tier was never completed
-    for _i, _ in pending:
-        report.skipped += 1
+    if pool is not None:
+        pending = _run_pooled(
+            fn, items, pending, results, report, backoff, pool,
+            timeout, max_retries, budget, fault_plan,
+        )
+        if pending:
+            report.final_executor = "serial"
+    if pending:
+        _run_inline(fn, items, pending, results, report, backoff, max_retries, budget, fault_plan)
     return results, report
 
 
-def _run_serial(fn, items, pending, results, report, backoff, max_retries, budget, fault_plan):
-    """Serial tier: in-line loop with retries; cannot preempt, so no timeout."""
-    queue = list(pending)
+def _run_inline(fn, items, pending, results, report, backoff, max_retries, budget, fault_plan):
+    """Inline loop with retries; cannot preempt, so no timeout."""
+    queue = deque(pending)
     while queue:
         if budget is not None and budget.checkpoint("executor"):
             report.deadline_skipped += len(queue)
-            return []  # remaining items stay None in the result list
-        i, attempt = queue.pop(0)
+            return  # remaining items stay None in the result list
+        i, attempt = queue.popleft()
         try:
             results[i] = _fault_call(fn, items[i], fault_plan, i, attempt, False)
             report.succeeded += 1
@@ -329,88 +257,99 @@ def _run_serial(fn, items, pending, results, report, backoff, max_retries, budge
                 queue.append((i, attempt + 1))
             else:
                 report.skipped += 1
-    return []
+
+
+def _degrade(pool, report, exc, unfinished):
+    """Move the unfinished items inline; retire the pool if it broke."""
+    report.executor_degradations += 1
+    report.record_error(exc)
+    if isinstance(exc, BrokenExecutor):
+        pool.mark_broken()
+    return unfinished
 
 
 def _run_pooled(
-    fn, items, pending, results, report, backoff, tier, workers,
-    timeout, max_retries, budget, fault_plan, pool=None,
+    fn, items, pending, results, report, backoff, pool,
+    timeout, max_retries, budget, fault_plan,
 ):
-    """Pooled tier: submit/collect rounds with timeouts and retry rounds.
+    """Pool tier: submit/collect rounds with timeouts and retry rounds.
 
-    Returns ``(still_pending, degraded)``; ``degraded`` means the pool (or
-    pickling) broke and the remaining items should move to the next tier.
-    A persistent ``pool`` whose kind matches the tier is borrowed instead
-    of constructing a fresh executor (and is *not* shut down here); when
-    that borrowed pool breaks, ``mark_broken()`` notifies its owner.
+    Returns the items still owed a result, which is non-empty only when the
+    pool broke (or failed its health check) and the rest must run inline.
+    The pool is borrowed, never shut down here.
     """
-    if _pool_unhealthy(pool, tier):
+    if not pool.health_check():
+        # watchdog verdict (the check already marked the pool broken):
+        # replay everything inline from scratch, never from partial state
         report.executor_degradations += 1
-        return list(pending), True
-    use_pool = pool is not None and pool.kind == tier and pool.usable()
-    in_process = tier == "processes"
-    queue = list(pending)
-    try:
-        if use_pool:
-            cm = contextlib.nullcontext(pool.executor)
+        return pending
+    if timeout is None and fault_plan is None and budget is None:
+        # fast path: nothing to inject, time, or cancel
+        try:
+            mapped = list(pool.executor.map(fn, items, chunksize=1))
+        except Exception as exc:
+            if _is_degrade_error(exc):
+                return _degrade(pool, report, exc, pending)
+            # a task failed inside the batch: isolate it with the per-item
+            # rounds below, on the same pool
         else:
-            pool_cls = ProcessPoolExecutor if tier == "processes" else ThreadPoolExecutor
-            cm = pool_cls(max_workers=workers)
-        with cm as ex:
-            while queue:
-                futures = []
-                for i, attempt in queue:
-                    futures.append(
-                        (i, attempt, ex.submit(_fault_call, fn, items[i], fault_plan, i, attempt, in_process))
-                    )
-                retry_round: List[tuple[int, int]] = []
-                for pos, (i, attempt, fut) in enumerate(futures):
-                    if budget is not None and budget.checkpoint("executor"):
-                        rest = futures[pos:]
-                        for _j, _a, f in rest:
-                            f.cancel()
-                        report.deadline_skipped += len(rest) + len(retry_round)
-                        return [], False
-                    try:
-                        wait = timeout
-                        if budget is not None:
-                            rem = budget.remaining()
-                            if rem != float("inf"):
-                                wait = rem if wait is None else min(wait, rem)
-                        results[i] = _await_future(fut, wait, pool, use_pool)
-                        report.succeeded += 1
-                    except FutureTimeoutError:
-                        fut.cancel()
-                        report.timeouts += 1
-                        report.failures += 1
-                        if attempt < max_retries:
-                            report.retries += 1
-                            retry_round.append((i, attempt + 1))
-                        else:
-                            report.skipped += 1
-                    except Exception as exc:
-                        if _is_degrade_error(exc):
-                            # the pool itself is broken: everything not yet
-                            # harvested moves to the next tier (no attempt used)
-                            report.executor_degradations += 1
-                            report.record_error(exc)
-                            if use_pool:
-                                pool.mark_broken()
-                            unfinished = [(i, attempt)] + [(j, a) for j, a, _ in futures[pos + 1 :]]
-                            return unfinished + retry_round, True
-                        report.failures += 1
-                        report.record_error(exc)
-                        if attempt < max_retries:
-                            report.retries += 1
-                            backoff.sleep(attempt)
-                            retry_round.append((i, attempt + 1))
-                        else:
-                            report.skipped += 1
-                queue = retry_round
-        return [], False
-    except _DEGRADE_ERRORS as exc:  # pool construction / shutdown failure
-        report.executor_degradations += 1
-        report.record_error(exc)
-        if use_pool:
-            pool.mark_broken()
-        return queue, True
+            results[:] = mapped
+            report.succeeded += len(items)
+            return []
+
+    in_process = pool.kind == "processes"
+    queue = list(pending)
+    while queue:
+        try:
+            futures = [
+                (i, attempt, pool.executor.submit(
+                    _fault_call, fn, items[i], fault_plan, i, attempt, in_process
+                ))
+                for i, attempt in queue
+            ]
+        except BrokenExecutor as exc:  # the pool broke between rounds
+            return _degrade(pool, report, exc, queue)
+        retry_round: List[tuple[int, int]] = []
+        for pos, (i, attempt, fut) in enumerate(futures):
+            if budget is not None and budget.checkpoint("executor"):
+                rest = futures[pos:]
+                for _j, _a, f in rest:
+                    f.cancel()
+                report.deadline_skipped += len(rest) + len(retry_round)
+                return []
+            try:
+                wait = timeout
+                if budget is not None:
+                    rem = budget.remaining()
+                    if rem != float("inf"):
+                        wait = rem if wait is None else min(wait, rem)
+                results[i] = _await_future(fut, wait, pool)
+                report.succeeded += 1
+            except FutureTimeoutError:
+                fut.cancel()
+                report.timeouts += 1
+                report.failures += 1
+                if attempt < max_retries:
+                    report.retries += 1
+                    retry_round.append((i, attempt + 1))
+                else:
+                    report.skipped += 1
+            except Exception as exc:
+                if _is_degrade_error(exc):
+                    # the pool cannot run this map: everything not yet
+                    # harvested moves inline (no attempt used)
+                    rest = futures[pos + 1 :]
+                    for _j, _a, f in rest:
+                        f.cancel()
+                    unfinished = [(i, attempt)] + [(j, a) for j, a, _ in rest]
+                    return _degrade(pool, report, exc, unfinished + retry_round)
+                report.failures += 1
+                report.record_error(exc)
+                if attempt < max_retries:
+                    report.retries += 1
+                    backoff.sleep(attempt)
+                    retry_round.append((i, attempt + 1))
+                else:
+                    report.skipped += 1
+        queue = retry_round
+    return []

@@ -9,10 +9,10 @@ see on its own (``docs/RESILIENCE.md`` has the full failure matrix):
   (e.g. stuck in an unbounded flow solve) never surfaces at all.  The
   :class:`Supervisor` watchdogs the pool: cheap liveness checks on every
   dispatch plus periodic heartbeat sentinel tasks with a timeout.
-- **pool collapse mid-run** — the degradation ladder (processes → threads
-  → serial) finishes the current map deterministically; the supervisor
-  additionally holds a *restart budget* so the next dispatch can respawn a
-  fresh process pool instead of running the rest of the job degraded.
+- **pool collapse mid-run** — the degradation ladder (pool → inline)
+  finishes the current map deterministically; the supervisor additionally
+  holds a *restart budget* so the next dispatch can respawn a fresh
+  process pool instead of running the rest of the job inline.
   Work is always replayed from its derived seeds, never from partial
   state, so respawns cannot change the partition.
 - **orphaned shared memory** — a driver killed between exporting a
@@ -23,7 +23,7 @@ see on its own (``docs/RESILIENCE.md`` has the full failure matrix):
   is gone, and removes the stale record.
 
 The supervisor never makes algorithmic decisions — it only decides *where*
-work runs and *when* to give up on an executor tier — so the bit-identical
+work runs and *when* to give up on a pool — so the bit-identical
 determinism contract (serial ≡ threads ≡ processes) is preserved by
 construction.
 """

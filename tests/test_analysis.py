@@ -110,9 +110,11 @@ class TestExperimentDrivers:
         assert "mini_like" in out
 
     def test_executor_map(self):
-        from repro.filtering.executor import map_subproblems
+        from repro.parallel import WorkerPool
+        from repro.runtime import resilient_map
 
-        assert map_subproblems(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        assert map_subproblems(lambda x: x * 2, [1, 2], executor="threads") == [2, 4]
+        assert resilient_map(lambda x: x + 1, [1, 2, 3])[0] == [2, 3, 4]
+        with WorkerPool(workers=2, kind="threads") as pool:
+            assert resilient_map(lambda x: x * 2, [1, 2], pool=pool)[0] == [2, 4]
         with pytest.raises(ValueError):
-            map_subproblems(lambda x: x, [1], executor="gpu")
+            WorkerPool(kind="gpu")

@@ -120,22 +120,28 @@ class TestEngineConformance:
             assert_valid_cut(prob, value, side)
 
     def test_executor_parity(self, engine):
-        # serial ≡ threads: the detected cut-edge set is bit-identical
+        # inline ≡ serial ≡ threads: the detected cut-edge set is bit-identical
+        from contextlib import nullcontext
+
+        from repro.core.config import ParallelConfig
+        from repro.parallel import ParallelRuntime
+
         g = road_network(n_target=400, seed=9)
         runs = []
-        for executor in ("serial", "threads"):
-            cut_ids, stats = detect_natural_cuts(
-                g,
-                48,
-                C=1,
-                rng=np.random.default_rng(3),
-                executor=executor,
-                workers=2,
-                engine=engine,
+        for backend in (None, "serial", "threads"):
+            runtime = (
+                nullcontext()
+                if backend is None
+                else ParallelRuntime(ParallelConfig(backend=backend, workers=2))
             )
+            with runtime as rt:
+                cut_ids, stats = detect_natural_cuts(
+                    g, 48, C=1, rng=np.random.default_rng(3), parallel=rt, engine=engine
+                )
             assert stats.cut_engine == engine
             runs.append(np.sort(cut_ids))
         assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
 
     def test_sanitizer_clean(self, engine):
         # a full run under the runtime sanitizer records zero violations

@@ -71,6 +71,14 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="pool kind"):
             WorkerPool(kind="fibers")
 
+    def test_invalid_worker_count(self):
+        # 0 used to slip through as "all cores"; only None means that
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                WorkerPool(workers=workers, kind="threads")
+        with WorkerPool(workers=None, kind="threads") as pool:
+            assert pool.workers >= 1
+
     def test_mark_broken_fires_callback_once(self):
         calls = []
         pool = WorkerPool(workers=1, kind="threads", on_broken=lambda: calls.append(1))
@@ -161,21 +169,20 @@ class TestResilientMapPooling:
     def test_pool_fast_path_used(self):
         with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
             results, report = resilient_map(
-                lambda x: x + 1,
-                list(range(10)),
-                executor="threads",
-                workers=2,
-                pool=rt.pool(),
+                lambda x: x + 1, list(range(10)), pool=rt.pool()
             )
         assert results == list(range(1, 11))
         assert report.final_executor == "threads"
 
-    def test_kind_mismatch_falls_back_to_fresh_executor(self):
+    def test_broken_pool_runs_inline(self):
         with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
-            results, _ = resilient_map(
-                lambda x: x * 2, [1, 2, 3], executor="serial", pool=rt.pool()
-            )
+            pool = rt.pool()
+            pool.mark_broken()
+            results, report = resilient_map(lambda x: x * 2, [1, 2, 3], pool=pool)
         assert results == [2, 4, 6]
+        assert report.final_executor == "serial"
+        # a pool retired before the map is not a new degradation
+        assert report.executor_degradations == 0
 
 
 class TestDegradation:
@@ -183,9 +190,9 @@ class TestDegradation:
         """A dying pool worker must not leak /dev/shm segments.
 
         crash_rate=1 on the "process" site hard-kills workers on first
-        attempt; resilient_map degrades processes -> threads -> serial,
-        the pool is marked broken, and the runtime unlinks every export
-        while the registry keeps resolving for the fallback tiers.
+        attempt; resilient_map marks the pool broken and finishes inline,
+        and the runtime unlinks every export while the registry keeps
+        resolving handles for the inline fallback.
         """
         g = random_connected_graph(40, 30, seed=3)
         plan = FaultPlan(seed=1, crash_rate=1.0, sites=("process",))
@@ -197,15 +204,13 @@ class TestDegradation:
             results, report = resilient_map(
                 _probe_item,
                 [(x, handle) for x in range(6)],
-                executor="processes",
-                workers=2,
-                fault_plan=plan,
                 pool=rt.pool(),
+                runtime=RuntimeConfig(fault_plan=plan),
             )
-            # results are still correct, computed by a fallback tier
+            # results are still correct, computed inline
             assert results == [40 + x for x in range(6)]
-            assert report.final_executor in ("threads", "serial")
-            assert report.executor_degradations >= 1
+            assert report.final_executor == "serial"
+            assert report.executor_degradations == 1
             # the broken pool released every shared segment...
             assert rt.pool_breaks == 1
             assert rt.active_segment_names() == []
@@ -223,6 +228,57 @@ class TestDegradation:
             assert fresh and all(_segment_exists(n) for n in fresh)
         assert not any(_segment_exists(n) for n in fresh)
         assert h2.token not in registered_tokens()
+
+    def test_broken_pool_without_supervisor_finishes_inline(self, monkeypatch):
+        """A process pool broken before the run, with no supervisor to
+        respawn it: every later map (natural cuts and multistart assembly)
+        runs inline, no executor is built, and the labels are the serial
+        run's."""
+        import concurrent.futures
+        import sys
+
+        from repro.core.config import AssemblyConfig
+        from repro.core.punch import run_punch
+
+        g = random_connected_graph(120, 60, seed=4)
+        asm = AssemblyConfig(multistart=4)
+        serial = run_punch(
+            g, 30, PunchConfig(seed=7, assembly=asm, parallel=ParallelConfig(backend="serial"))
+        )
+        cfg = PunchConfig(
+            seed=7, assembly=asm, parallel=ParallelConfig(backend="processes", workers=2)
+        )
+        with ParallelRuntime(cfg.parallel) as rt:
+            rt.pool().mark_broken()
+
+            # count executor constructions wherever repro looks the classes
+            # up: modules that bound them, and the package later imports read
+            built = []
+
+            def counting(base):
+                class Counting(base):
+                    def __init__(self, *args, **kwargs):
+                        built.append(base.__name__)
+                        super().__init__(*args, **kwargs)
+
+                return Counting
+
+            for base in (
+                concurrent.futures.ProcessPoolExecutor,
+                concurrent.futures.ThreadPoolExecutor,
+            ):
+                counting_cls = counting(base)
+                monkeypatch.setattr(concurrent.futures, base.__name__, counting_cls)
+                for name, module in list(sys.modules.items()):
+                    if name.startswith("repro") and getattr(module, base.__name__, None) is base:
+                        monkeypatch.setattr(module, base.__name__, counting_cls)
+
+            res = run_punch(g, 30, cfg, parallel=rt)
+
+        assert built == []
+        assert res.filter_result.natural_stats.final_executor == "serial"
+        assert res.parallel_report["pool_breaks"] == 1
+        assert np.array_equal(res.partition.labels, serial.partition.labels)
 
     def test_run_punch_survives_crashing_workers_without_leaks(
         self, monkeypatch, tmp_path

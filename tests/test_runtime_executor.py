@@ -1,12 +1,14 @@
-"""Tests for resilient_map and the map_subproblems edge cases."""
+"""Tests for resilient_map: inline runs, the run's pool, pool -> inline."""
 
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.filtering.executor import map_subproblems
+from repro.core.config import ParallelConfig, RuntimeConfig
+from repro.parallel import WorkerPool
 from repro.runtime import FaultPlan, RunBudget, resilient_map
 from repro.runtime.executor import DEGRADATION_ORDER
 
@@ -23,46 +25,63 @@ def slow_if_odd(x):
     return x
 
 
+def _policy(plan=None, max_retries=2):
+    """A retry policy without backoff sleeps."""
+    return RuntimeConfig(fault_plan=plan, max_retries=max_retries, backoff_base=0.0)
+
+
 class TestMapSubproblemsEdgeCases:
+    """Edge cases of a subproblem map: empty input, worker counts, backends.
+
+    A map runs inline or on the run's one pool, whose backend and worker
+    count come from :class:`ParallelConfig`, so that is where bad values
+    are rejected.
+    """
+
     def test_empty_items_short_circuit(self):
-        for executor in ("serial", "threads", "processes"):
-            assert map_subproblems(double, [], executor=executor) == []
+        # an empty map dispatches nothing, whatever pool it is handed
+        assert resilient_map(double, [])[0] == []
+        for kind in ("threads", "processes"):
+            with WorkerPool(workers=1, kind=kind) as pool:
+                results, report = resilient_map(double, [], pool=pool)
+                assert results == []
+                assert report.items == 0
+                assert report.final_executor == kind
+                assert pool.usable()
 
     def test_workers_zero_rejected(self):
+        # 0 does not mean "all cores"; only None does
         with pytest.raises(ValueError, match="workers"):
-            map_subproblems(double, [1, 2], executor="threads", workers=0)
+            ParallelConfig(backend="threads", workers=0)
+        assert ParallelConfig(backend="threads", workers=None).workers is None
 
     def test_workers_negative_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            map_subproblems(double, [1, 2], executor="processes", workers=-3)
+            ParallelConfig(backend="processes", workers=-3)
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            map_subproblems(double, [1], executor="gpu")
-
-    def test_tiny_input_processes(self):
-        # chunksize must stay >= 1 for inputs far smaller than 64
-        assert map_subproblems(double, [1, 2, 3], executor="processes", workers=2) == [2, 4, 6]
+        with pytest.raises(ValueError, match="backend"):
+            ParallelConfig(backend="gpu")
+        with pytest.raises(ValueError, match="pool kind"):
+            WorkerPool(kind="gpu")
 
 
 class TestResilientMapSerial:
     def test_clean_run(self):
-        results, report = resilient_map(double, list(range(10)), "serial")
+        results, report = resilient_map(double, list(range(10)))
         assert results == [2 * i for i in range(10)]
         assert report.succeeded == 10
+        assert report.final_executor == "serial"
         assert not report.any_incident()
 
     def test_empty_items(self):
-        results, report = resilient_map(double, [], "serial")
+        results, report = resilient_map(double, [])
         assert results == []
         assert report.items == 0
 
     def test_retry_then_succeed(self):
         plan = FaultPlan(seed=1, failure_rate=0.5, max_attempt=0)
-        results, report = resilient_map(
-            double, list(range(30)), "serial",
-            fault_plan=plan, max_retries=2, backoff_base=0.0,
-        )
+        results, report = resilient_map(double, list(range(30)), runtime=_policy(plan))
         assert results == [2 * i for i in range(30)]
         assert report.retries > 0
         assert report.skipped == 0
@@ -70,8 +89,7 @@ class TestResilientMapSerial:
     def test_exhausted_retries_skip(self):
         plan = FaultPlan(seed=1, failure_rate=0.5, max_attempt=5)
         results, report = resilient_map(
-            double, list(range(30)), "serial",
-            fault_plan=plan, max_retries=1, backoff_base=0.0,
+            double, list(range(30)), runtime=_policy(plan, max_retries=1)
         )
         n_none = sum(r is None for r in results)
         assert n_none > 0
@@ -81,10 +99,8 @@ class TestResilientMapSerial:
 
     def test_deterministic_reports(self):
         plan = FaultPlan(seed=2, failure_rate=0.4, max_attempt=0)
-        _, r1 = resilient_map(double, list(range(20)), "serial",
-                              fault_plan=plan, backoff_base=0.0)
-        _, r2 = resilient_map(double, list(range(20)), "serial",
-                              fault_plan=plan, backoff_base=0.0)
+        _, r1 = resilient_map(double, list(range(20)), runtime=_policy(plan))
+        _, r2 = resilient_map(double, list(range(20)), runtime=_policy(plan))
         assert (r1.retries, r1.skipped, r1.failures) == (r2.retries, r2.skipped, r2.failures)
 
     def test_deadline_skips_remaining(self):
@@ -95,63 +111,71 @@ class TestResilientMapSerial:
             clock.advance(3.0)
             return x
 
-        results, report = resilient_map(work, list(range(10)), "serial", budget=budget)
+        results, report = resilient_map(work, list(range(10)), budget=budget)
         assert report.succeeded + report.deadline_skipped == 10
         assert report.deadline_skipped > 0
         assert results[-1] is None
 
     def test_negative_max_retries_rejected(self):
         with pytest.raises(ValueError):
-            resilient_map(double, [1], "serial", max_retries=-1)
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resilient_map(double, [1], "gpu")
+            RuntimeConfig(max_retries=-1)
+        # the runtime is read duck-typed, so the map checks it again
+        bad = SimpleNamespace(max_retries=-1, backoff_base=0.0, fault_plan=None)
+        with pytest.raises(ValueError, match="max_retries"):
+            resilient_map(double, [1], runtime=bad)
 
 
 class TestResilientMapPooled:
     def test_threads_clean(self):
-        results, report = resilient_map(double, list(range(16)), "threads", workers=4)
+        with WorkerPool(workers=4, kind="threads") as pool:
+            results, report = resilient_map(double, list(range(16)), pool=pool)
         assert results == [2 * i for i in range(16)]
         assert report.final_executor == "threads"
 
     def test_timeout_counts_and_skips(self):
-        results, report = resilient_map(
-            slow_if_odd, list(range(6)), "threads", workers=6,
-            timeout=0.5, max_retries=0, backoff_base=0.0,
-        )
+        # leaving the block waits for the sleepers, so no stray thread is
+        # alive when a later test forks a process pool
+        with WorkerPool(workers=6, kind="threads") as pool:
+            results, report = resilient_map(
+                slow_if_odd, list(range(6)), pool=pool,
+                runtime=_policy(max_retries=0), timeout=0.5,
+            )
         assert [results[i] for i in range(0, 6, 2)] == [0, 2, 4]
         assert all(results[i] is None for i in range(1, 6, 2))
         assert report.timeouts == 3
         assert report.skipped == 3
 
     def test_processes_unpicklable_degrades(self):
-        # a lambda cannot cross a process boundary: the executor must
-        # degrade to threads (or serial) and still produce every result
-        results, report = resilient_map(lambda x: x + 1, list(range(8)), "processes", workers=2)
+        # a lambda cannot cross a process boundary: every result is computed
+        # inline instead, and the healthy pool stays in service
+        with WorkerPool(workers=2, kind="processes") as pool:
+            results, report = resilient_map(lambda x: x + 1, list(range(8)), pool=pool)
+            assert pool.usable()
         assert results == [i + 1 for i in range(8)]
-        assert report.executor_degradations >= 1
-        assert report.final_executor in ("threads", "serial")
+        assert report.executor_degradations == 1
+        assert report.final_executor == "serial"
 
     def test_processes_crash_degrades(self):
         # ~40% of first-attempt workers call os._exit -> BrokenProcessPool
         plan = FaultPlan(seed=3, crash_rate=0.4, max_attempt=0, sites=("process",))
-        results, report = resilient_map(
-            double, list(range(12)), "processes", workers=2,
-            fault_plan=plan, max_retries=1, backoff_base=0.0,
-        )
+        with WorkerPool(workers=2, kind="processes") as pool:
+            results, report = resilient_map(
+                double, list(range(12)), pool=pool, runtime=_policy(plan, max_retries=1)
+            )
+            assert not pool.usable()
         assert results == [2 * i for i in range(12)]
-        assert report.executor_degradations >= 1
-        assert report.final_executor in ("threads", "serial")
+        assert report.executor_degradations == 1
+        assert report.final_executor == "serial"
 
     def test_worker_faults_in_threads_retry(self):
         plan = FaultPlan(seed=4, failure_rate=0.5, max_attempt=0)
-        results, report = resilient_map(
-            double, list(range(20)), "threads", workers=4,
-            fault_plan=plan, max_retries=2, backoff_base=0.0,
-        )
+        with WorkerPool(workers=4, kind="threads") as pool:
+            results, report = resilient_map(
+                double, list(range(20)), pool=pool, runtime=_policy(plan)
+            )
         assert results == [2 * i for i in range(20)]
         assert report.retries > 0
+        assert report.final_executor == "threads"
 
     def test_degradation_order_constant(self):
-        assert DEGRADATION_ORDER == ("processes", "threads", "serial")
+        assert DEGRADATION_ORDER == ("processes", "serial")
