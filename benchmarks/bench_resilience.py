@@ -1,16 +1,17 @@
 """Bench: overhead of the fault-tolerant runtime on a clean (no-fault) run.
 
 The resilience layer (PR "robustness") promises that when no timeout, fault
-plan, or budget is configured, :func:`repro.runtime.resilient_map` stays
+plan, or budget is configured, :func:`repro.parallel.resilient_map` stays
 within 5% of a plain loop over the same solves.  This bench measures that
 directly on the natural-cut solve workload of ``small_like``
 (the per-subproblem min-cut solves dominate, so the bookkeeping must be
 noise), and records end-to-end ``run_punch`` wall time with the default
 inert :class:`~repro.core.config.RuntimeConfig` for the record.
 
-The execution supervisor (PR "execution supervisor") makes the same ≤5%
-promise for a *supervised* no-fault run: its liveness scans, heartbeat
-sentinels, and startup reaping may not slow a healthy run down.
+Supervision (``RuntimeConfig(supervise=True)``, applied by the run's
+:class:`~repro.parallel.ParallelRuntime`) makes the same ≤5% promise for a
+no-fault run: its liveness scans, heartbeat sentinels, and startup reaping
+may not slow a healthy run down.
 ``test_supervisor_overhead`` measures supervised vs. unsupervised
 ``run_punch`` on the threads and processes backends, asserts the partitions
 stay bit-identical, and records everything in ``BENCH_resilience.json`` at
@@ -30,7 +31,7 @@ from repro import PunchConfig, run_punch
 from repro.analysis import render_table
 from repro.core.config import AssemblyConfig, ParallelConfig, RuntimeConfig
 from repro.filtering.natural_cuts import _solve_one, collect_cut_problems
-from repro.runtime import resilient_map
+from repro.parallel import resilient_map
 from repro.synthetic.instances import instance
 
 from .conftest import QUICK, write_result

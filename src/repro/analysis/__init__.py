@@ -1,9 +1,8 @@
-"""Measurement harness: statistics, timing, tables, experiment drivers."""
+"""Measurement harness: statistics, tables, experiment drivers."""
 
 from .instance_report import InstanceProfile, instances_report, profile_instance
 from .stats import Aggregate, PartitionStats, aggregate, partition_stats
 from .tables import fmt, render_table
-from .timing import PhaseTimer
 
 __all__ = [
     "PartitionStats",
@@ -12,7 +11,6 @@ __all__ = [
     "aggregate",
     "render_table",
     "fmt",
-    "PhaseTimer",
     "InstanceProfile",
     "profile_instance",
     "instances_report",

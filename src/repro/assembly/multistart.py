@@ -278,7 +278,7 @@ def _multistart_parallel(
     Returns ``None`` when a resume checkpoint was written by the legacy
     loop (no seed schedule) — the caller then falls back to that loop.
     """
-    from ..runtime.executor import resilient_map
+    from ..parallel.pool import resilient_map
     from ..parallel.tasks import combine_iteration_task, run_start_task
 
     M = cfg.multistart
@@ -314,7 +314,7 @@ def _multistart_parallel(
 
     def dispatch(task, task_items):
         return resilient_map(
-            task, task_items, pool=parallel.pool(), runtime=runtime, budget=budget
+            task, task_items, parallel=parallel, runtime=runtime, budget=budget
         )
 
     def absorb(wstats: dict) -> None:

@@ -36,7 +36,6 @@ from ..assembly.greedy import greedy_labels_for_graph
 from ..assembly.local_search import local_search
 from ..core.config import BalancedConfig
 from ..core.partition import Partition
-from ..core.punch import _supervisor_section
 from ..core.result import BalancedResult
 from ..filtering.pipeline import run_filtering
 from ..graph.graph import Graph
@@ -86,15 +85,14 @@ def run_balanced_punch(
     if U_star < int(g.vsize.max(initial=1)):
         raise ValueError("U* smaller than the largest vertex size; infeasible")
 
-    parallel = None
-    supervisor = config.runtime.make_supervisor()
-    if supervisor is not None:
-        supervisor.startup()  # reap orphaned segments from dead runs
-    if config.parallel is not None:
-        from ..parallel.pool import ParallelRuntime
+    from ..parallel.pool import ParallelRuntime, serial_supervision
 
-        parallel = ParallelRuntime(config.parallel)
-        parallel.supervisor = supervisor
+    parallel = None
+    supervision: dict = {}
+    if config.parallel is not None:
+        parallel = ParallelRuntime(config.parallel, config.runtime)
+    else:
+        supervision = serial_supervision(config.runtime)
     try:
         U_filter = max(int(g.vsize.max(initial=1)), U_star // config.filter_divisor)
         filt = run_filtering(
@@ -114,8 +112,8 @@ def run_balanced_punch(
             filter_report=filt.run_report(),
             parallel=parallel,
         )
-        if supervisor is not None:
-            result.supervisor_report = supervisor.report()
+        if parallel is None:
+            result.supervisor_report = supervision
         return result
     finally:
         if parallel is not None:
@@ -358,7 +356,7 @@ def balanced_from_fragments(
         checkpoint_recovery=checkpoint_recovery,
         filter_report=dict(filter_report or {}),
         parallel_report=parallel.report() if parallel is not None else {},
-        supervisor_report=_supervisor_section(parallel),
+        supervisor_report=parallel.supervisor_report() if parallel is not None else {},
     )
 
 
@@ -386,8 +384,8 @@ def _balanced_parallel(
     """
     import functools
 
+    from ..parallel.pool import resilient_map
     from ..parallel.tasks import unbalanced_start_task
-    from ..runtime.executor import resilient_map
 
     start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_starts)]
     rebal_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_starts)]
@@ -397,7 +395,7 @@ def _balanced_parallel(
     )
     with profile_span("balanced.unbalanced_starts"):
         results, _report = resilient_map(
-            task, start_seeds, pool=parallel.pool(), runtime=config.runtime, budget=budget
+            task, start_seeds, parallel=parallel, runtime=config.runtime, budget=budget
         )
 
     solutions = []
@@ -503,5 +501,5 @@ def _balanced_parallel(
         deadline_expired=deadline_expired,
         filter_report=dict(filter_report or {}),
         parallel_report=parallel.report(),
-        supervisor_report=_supervisor_section(parallel),
+        supervisor_report=parallel.supervisor_report(),
     )

@@ -85,8 +85,8 @@ def _add_runtime_flags(sp) -> None:
     sp.add_argument(
         "--supervise",
         action="store_true",
-        help="attach the execution supervisor: worker watchdog, pool-restart "
-        "budget, and orphaned shared-memory reaping (see docs/RESILIENCE.md)",
+        help="supervise the worker pool: watchdog, pool-restart budget, and "
+        "orphaned shared-memory reaping (see docs/RESILIENCE.md)",
     )
     sp.add_argument(
         "--chaos",
@@ -337,15 +337,14 @@ def cmd_replay(args) -> int:
         n_profiles=args.profiles,
         seed=args.seed if args.seed is not None else 0,
     )
-    pool = None
     pcfg = _parallel_from_args(args) if hasattr(args, "executor") else None
     if pcfg is not None and pcfg.backend == "threads":
-        from .parallel.pool import WorkerPool
+        from .parallel.pool import ParallelRuntime
 
-        pool = WorkerPool(workers=pcfg.workers, kind="threads")
-    rr = replay(engine, log, batch_size=args.batch, pool=pool)
-    if pool is not None:
-        pool.shutdown()
+        with ParallelRuntime(pcfg) as rt:
+            rr = replay(engine, log, batch_size=args.batch, pool=rt)
+    else:
+        rr = replay(engine, log, batch_size=args.batch)
     print(f"queries        : {rr.queries} in {rr.batches} batches")
     print(f"throughput     : {rr.qps:.0f} queries/s")
     print(f"latency p50    : {rr.latency_p50_ms:.3f} ms")

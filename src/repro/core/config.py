@@ -32,8 +32,8 @@ class ParallelConfig:
 
     Setting ``parallel`` on a :class:`PunchConfig` / :class:`BalancedConfig`
     routes natural-cut detection, multistart assembly, and the balanced
-    driver's unbalanced starts through one persistent
-    :class:`~repro.parallel.pool.WorkerPool`.  The output is bit-identical
+    driver's unbalanced starts through the one persistent pool of a
+    :class:`~repro.parallel.pool.ParallelRuntime`.  The output is bit-identical
     across backends (serial ≡ threads ≡ processes — see
     ``docs/PERFORMANCE.md``); the backend only decides where the work runs.
     ``backend="serial"`` runs the same task structure inline, which is what
@@ -60,7 +60,10 @@ class RuntimeConfig:
     checkpointing, no fault injection — only the bounded-retry and
     pool/solver degradation safety nets are armed.  ``fault_plan`` is
     exclusively a test/CI hook.  The backoff ceiling, jitter, and jitter
-    seed are constants of :mod:`repro.runtime.executor`.
+    seed, and the watchdog's heartbeat interval and stall-beat limit, are
+    constants of :mod:`repro.parallel.pool`, whose
+    :class:`~repro.parallel.pool.ParallelRuntime` applies the last three
+    fields.
     """
 
     time_budget: Optional[float] = None  # wall-clock seconds for the whole run
@@ -72,9 +75,9 @@ class RuntimeConfig:
     checkpoint_generations: int = 2  # rotated .bakN generations kept per checkpoint
     resume: bool = False  # continue from checkpoint_path if it exists
     fault_plan: Optional[FaultPlan] = None  # deterministic fault injection (tests)
-    supervise: bool = False  # attach the execution Supervisor (watchdog + reaper)
+    supervise: bool = False  # worker watchdog + pool restarts + orphan reaping
     heartbeat_timeout: float = 10.0  # seconds before a heartbeat declares the pool hung
-    max_pool_restarts: int = 1  # fresh pools the supervisor may respawn per run
+    max_pool_restarts: int = 1  # fresh pools a supervised run may respawn
 
     def __post_init__(self) -> None:
         if self.time_budget is not None and self.time_budget < 0:
@@ -93,21 +96,6 @@ class RuntimeConfig:
             raise ValueError("heartbeat_timeout must be > 0")
         if self.max_pool_restarts < 0:
             raise ValueError("max_pool_restarts must be >= 0")
-
-    def make_supervisor(self):
-        """A fresh :class:`~repro.runtime.supervisor.Supervisor`, or ``None``.
-
-        ``None`` unless ``supervise`` is set — the classic degrade-only
-        runtime stays the default and pays zero watchdog overhead.
-        """
-        if not self.supervise:
-            return None
-        from ..runtime.supervisor import Supervisor  # late: keep import cheap
-
-        return Supervisor(
-            heartbeat_timeout=self.heartbeat_timeout,
-            max_pool_restarts=self.max_pool_restarts,
-        )
 
     def make_budget(self) -> RunBudget:
         """A fresh :class:`RunBudget` for one run under this config."""

@@ -28,18 +28,6 @@ from .result import PunchResult
 __all__ = ["run_punch"]
 
 
-def _supervisor_section(parallel, supervisor=None) -> dict:
-    """Telemetry of whichever supervisor watched this run, if any.
-
-    Shared by the unbalanced and balanced drivers: the runtime's attached
-    supervisor wins, else the one the driver started itself.
-    """
-    sup = getattr(parallel, "supervisor", None)
-    if sup is None:
-        sup = supervisor
-    return sup.report() if sup is not None else {}
-
-
 def run_punch(
     g: Graph,
     U: int,
@@ -61,7 +49,8 @@ def run_punch(
     by natural-cut detection and multistart assembly across all components,
     and torn down — pool and shared segments — when the run ends, even on
     error.  An explicit ``parallel`` argument borrows an existing runtime
-    (the caller keeps ownership).  The partition is bit-identical across
+    (the caller keeps ownership, and the runtime keeps the supervision
+    policy it was built with).  The partition is bit-identical across
     backends; see ``docs/PERFORMANCE.md``.
     """
     config = PunchConfig() if config is None else config
@@ -72,27 +61,23 @@ def run_punch(
     if budget is None and config.runtime.time_budget is not None:
         budget = config.runtime.make_budget()
 
-    owns_parallel = False
-    supervisor = None
-    if parallel is None and config.parallel is not None:
-        from ..parallel.pool import ParallelRuntime
+    from ..parallel.pool import ParallelRuntime, serial_supervision
 
-        parallel = ParallelRuntime(config.parallel)
+    owns_parallel = False
+    supervision: dict = {}
+    if parallel is None and config.parallel is not None:
+        parallel = ParallelRuntime(config.parallel, config.runtime)
         owns_parallel = True
-    if config.runtime.supervise and (parallel is None or parallel.supervisor is None):
-        # borrowed runtimes may already carry a supervisor; never replace it
-        supervisor = config.runtime.make_supervisor()
-        supervisor.startup()  # reap orphaned segments from dead runs
-        if parallel is not None:
-            parallel.supervisor = supervisor
+    elif parallel is None:
+        supervision = serial_supervision(config.runtime)
     try:
         ncomp, comp = connected_components(g)
         if ncomp > 1:
             result = _run_per_component(
                 g, U, config, rng, ncomp, comp, budget, parallel, cut_cache
             )
-            if supervisor is not None and not result.supervisor_report:
-                result.supervisor_report = supervisor.report()
+            if parallel is None:
+                result.supervisor_report = supervision
             return result
 
         filt = run_filtering(
@@ -134,7 +119,9 @@ def run_punch(
             time_natural=filt.time_natural,
             time_assembly=time_assembly,
             parallel_report=parallel.report() if parallel is not None else {},
-            supervisor_report=_supervisor_section(parallel, supervisor),
+            supervisor_report=(
+                parallel.supervisor_report() if parallel is not None else supervision
+            ),
         )
     finally:
         if owns_parallel:
@@ -199,6 +186,6 @@ def _run_per_component(
         filter_result=last_filt,
         assembly_stats=last_stats,
         parallel_report=parallel.report() if parallel is not None else {},
-        supervisor_report=_supervisor_section(parallel),
+        supervisor_report=parallel.supervisor_report() if parallel is not None else {},
         **total,
     )

@@ -41,8 +41,8 @@ class PunchResult:
     # worker-pool telemetry (backend, merged per-worker cache counters, shared
     # bytes, pool breaks); empty when the run was single-process
     parallel_report: dict = field(default_factory=dict)
-    # execution-supervisor telemetry (watchdog detections, restarts, reaped
-    # orphans); empty when the run was unsupervised
+    # supervision telemetry (watchdog detections, restarts, reaped orphans);
+    # empty when the run was unsupervised
     supervisor_report: dict = field(default_factory=dict)
 
     @property
@@ -130,7 +130,7 @@ class BalancedResult:
     filter_report: dict = field(default_factory=dict)
     # worker-pool telemetry; empty when the run was single-process
     parallel_report: dict = field(default_factory=dict)
-    # execution-supervisor telemetry; empty when the run was unsupervised
+    # supervision telemetry; empty when the run was unsupervised
     supervisor_report: dict = field(default_factory=dict)
 
     @property

@@ -19,7 +19,7 @@ subproblems sequentially (BFS + core marking, which determines the centers),
 then solves the min-cut instances inline or on the run's worker pool.
 
 Resilience (see ``docs/RESILIENCE.md``): subproblems run through
-:func:`~repro.runtime.executor.resilient_map`, each min-cut solve falls back
+:func:`~repro.parallel.pool.resilient_map`, each min-cut solve falls back
 along :data:`SOLVER_FALLBACKS` when a solver raises, and an expired
 :class:`~repro.runtime.budget.RunBudget` stops the detection early — every
 skip, retry, fallback, and degradation is counted on
@@ -43,10 +43,10 @@ from ..cutengine import SOLVER_FALLBACKS, get_engine
 from ..graph.graph import Graph
 from ..graph.traversal import BFSWorkspace, grow_bfs_region
 from ..lint.sanitizer import get_sanitizer
+from ..parallel.pool import ExecutionReport, ParallelRuntime, lpt_batches, resilient_map
 from ..perf.cut_cache import CutCache
 from ..perf.timers import profile_span
 from ..runtime.budget import RunBudget
-from ..runtime.executor import ExecutionReport, resilient_map
 from ..runtime.faults import FaultPlan
 from .cut_problem import CutProblem, build_cut_problem
 
@@ -292,7 +292,7 @@ def detect_natural_cuts(
     runtime: RuntimeConfig | None = None,
     budget: RunBudget | None = None,
     cut_cache: CutCache | None = None,
-    parallel=None,
+    parallel: ParallelRuntime | None = None,
     engine: str = "push_relabel",
 ) -> tuple[np.ndarray, NaturalCutStats]:
     """Run ``C`` coverage sweeps; returns ``(cut_edge_ids, stats)``.
@@ -401,7 +401,7 @@ def _pooled_sweep(
     runtime: RuntimeConfig,
     budget: RunBudget | None,
     cut_cache: CutCache | None,
-    parallel,
+    parallel: ParallelRuntime,
     stats: NaturalCutStats,
     marked: np.ndarray,
     engine: str = "push_relabel",
@@ -428,8 +428,6 @@ def _pooled_sweep(
     if parallel.backend == "serial":
         workers = 1
     n_batches = max(1, workers * BATCHES_PER_WORKER)
-    from ..parallel.pool import lpt_batches
-
     batches = lpt_batches([ring for _, ring in regions], n_batches)
     batch_centers = [[regions[i][0] for i in batch] for batch in batches]
     task = functools.partial(
@@ -450,7 +448,7 @@ def _pooled_sweep(
         results, report = resilient_map(
             task,
             batch_centers,
-            pool=parallel.pool(),
+            parallel=parallel,
             runtime=runtime,
             budget=budget,
             timeout=timeout,

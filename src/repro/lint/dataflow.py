@@ -18,7 +18,7 @@ REPRO111
 REPRO112
     A ``numpy.random.Generator`` crossing a process boundary: a
     generator-typed value appearing in the payload of a
-    ``resilient_map`` / ``WorkerPool.map_ordered`` / ``executor.submit``
+    ``resilient_map`` / ``executor.submit`` / ``executor.map``
     dispatch (directly, inside a tuple/partial, or captured by a
     locally-defined payload function).  Generators do not
     share state across pickling — each worker would replay the same draws
@@ -58,7 +58,7 @@ _UNSEEDED_CTORS = ("numpy.random.default_rng", "numpy.random.SeedSequence")
 
 #: callables that dispatch payloads onto worker processes
 _DISPATCH_FUNCS = {"resilient_map"}
-_DISPATCH_METHODS = {"map_ordered", "submit", "map"}
+_DISPATCH_METHODS = {"submit", "map"}
 
 #: a Generator-typed annotation mentions one of these terminal names
 _GENERATOR_ANN = {"Generator"}

@@ -634,9 +634,9 @@ class SilentExceptRule(Rule):
                 )
 
 
-#: modules allowed to construct SharedMemory directly: the owner/attach
-#: lifecycle (shared_graph) and the orphan reaper (supervisor)
-_SHM_ALLOWED_SUFFIXES = ("parallel/shared_graph.py", "runtime/supervisor.py")
+#: the one module allowed to construct SharedMemory directly: it holds the
+#: owner/attach lifecycle and the orphan reaper
+_SHM_ALLOWED_SUFFIXES = ("parallel/shared_graph.py",)
 
 
 class BareSharedMemoryRule(Rule):
@@ -644,7 +644,7 @@ class BareSharedMemoryRule(Rule):
 
     Every shared-memory segment must be owned by a
     :class:`~repro.parallel.shared_graph.SharedGraph` (finalizer + ownership
-    registry) or handled by the supervisor's orphan reaper.  A bare
+    registry) or handled by the orphan reaper next to it.  A bare
     ``SharedMemory(...)`` anywhere else escapes both safety nets: nothing
     unlinks it on a crash and the reaper cannot identify its owner, so it
     leaks ``/dev/shm`` until reboot.
@@ -652,7 +652,7 @@ class BareSharedMemoryRule(Rule):
 
     id = "REPRO109"
     name = "bare-shared-memory"
-    description = "SharedMemory constructed outside shared_graph/supervisor"
+    description = "SharedMemory constructed outside parallel/shared_graph"
     scope = "all"
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
@@ -668,7 +668,7 @@ class BareSharedMemoryRule(Rule):
                     ctx, node,
                     "bare SharedMemory(...) escapes the ownership registry and "
                     "crash finalizers; go through SharedGraph (owner/attach) or "
-                    "the supervisor reaper",
+                    "the orphan reaper in parallel/shared_graph",
                 )
 
 

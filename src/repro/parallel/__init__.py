@@ -1,18 +1,20 @@
-"""Shared-memory parallel runtime (zero-copy worker pool).
+"""Shared-memory parallel runtime: the run's one executor.
 
-See ``docs/PERFORMANCE.md`` ("Shared-memory parallel runtime") for the
-architecture: :class:`SharedGraph` exports the CSR arrays once into
-``multiprocessing.shared_memory``, the persistent :class:`WorkerPool`
-attaches them zero-copy in every worker, and :class:`ParallelRuntime`
-owns both for the duration of one PUNCH run.
+See ``docs/PERFORMANCE.md`` ("Shared-memory parallel runtime") and
+``docs/RESILIENCE.md`` for the architecture: :class:`SharedGraph` exports
+the CSR arrays once into ``multiprocessing.shared_memory``, and
+:class:`ParallelRuntime` owns the worker pool that attaches them zero-copy,
+every export, and the watchdog for the duration of one PUNCH run.
+:func:`resilient_map` dispatches every subproblem map onto that pool (or
+inline) with the retry, timeout and degradation policy.
 """
 
-from .pool import ParallelRuntime, WorkerPool, lpt_batches, register_graph, resolve_graph
+from .pool import ParallelRuntime, lpt_batches, register_graph, resilient_map, resolve_graph
 from .shared_graph import AttachedGraph, SharedGraph, SharedGraphHandle, attach_shared_graph
 
 __all__ = [
     "ParallelRuntime",
-    "WorkerPool",
+    "resilient_map",
     "lpt_batches",
     "register_graph",
     "resolve_graph",

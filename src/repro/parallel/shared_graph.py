@@ -21,23 +21,159 @@ their attachments — unlinking is exclusively the owner's job — and worker
 attachments are never registered with the ``resource_tracker`` so a
 crashed or exiting worker neither unlinks a live segment nor warns about
 "leaked" memory it does not own.
+
+A driver killed outright runs no finalizer, so every export is also
+recorded in a small on-disk **ownership registry** (owner PID + segment
+names, one JSON file per export under ``$REPRO_SHM_REGISTRY``).
+:func:`reap_orphan_segments` — run when a supervised run starts — unlinks
+the segments of owners that are gone and removes their stale records.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
+import os
 import secrets
+import tempfile
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
 import weakref
 
 import numpy as np
 
 from ..graph.graph import Graph
-from ..runtime.supervisor import register_segments, unregister_segments
 
-__all__ = ["SharedGraph", "SharedGraphHandle", "AttachedGraph", "attach_shared_graph"]
+__all__ = [
+    "SharedGraph",
+    "SharedGraphHandle",
+    "AttachedGraph",
+    "attach_shared_graph",
+    "register_segments",
+    "unregister_segments",
+    "registered_tokens",
+    "reap_orphan_segments",
+]
+
+
+# ---------------------------------------------------------------------------
+# Shared-memory ownership registry (sidecar files, one per export)
+# ---------------------------------------------------------------------------
+
+
+def _registry_dir(create: bool = True) -> Path:
+    """Directory of ownership records (override: ``REPRO_SHM_REGISTRY``)."""
+    base = os.environ.get("REPRO_SHM_REGISTRY", "").strip()
+    path = Path(base) if base else Path(tempfile.gettempdir()) / "repro-shm-registry"
+    if create:
+        with contextlib.suppress(OSError):
+            path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _record_path(pid: int, token: str) -> Path:
+    return _registry_dir() / f"{pid}-{token}.json"
+
+
+def register_segments(token: str, names: Sequence[str], pid: Optional[int] = None) -> None:
+    """Record this process as the owner of shared-memory segments.
+
+    Called by :class:`SharedGraph` at export time.  The record is advisory — losing it never breaks a run, it only
+    means a crashed owner's segments wait for the OS instead of the reaper.
+    """
+    pid = os.getpid() if pid is None else int(pid)
+    record = {"pid": pid, "token": token, "segments": list(names)}
+    with contextlib.suppress(OSError):
+        _record_path(pid, token).write_text(json.dumps(record))
+
+
+def unregister_segments(token: str, pid: Optional[int] = None) -> None:
+    """Drop the ownership record for ``token`` (idempotent)."""
+    pid = os.getpid() if pid is None else int(pid)
+    with contextlib.suppress(OSError):
+        _record_path(pid, token).unlink(missing_ok=True)
+
+
+def registered_tokens(pid: Optional[int] = None) -> List[str]:
+    """Tokens currently registered for ``pid`` (tests / leak assertions)."""
+    pid = os.getpid() if pid is None else int(pid)
+    prefix = f"{pid}-"
+    out: List[str] = []
+    root = _registry_dir(create=False)
+    if not root.is_dir():
+        return out
+    for entry in sorted(root.iterdir()):
+        if entry.name.startswith(prefix) and entry.suffix == ".json":
+            out.append(entry.name[len(prefix) : -len(".json")])
+    return out
+
+
+def _pid_alive(pid: int) -> bool:
+    """True when a process with this PID exists (signal-0 probe)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by someone else
+    except OSError:
+        return True  # unknown: err on the side of not reaping
+    return True
+
+
+def reap_orphan_segments() -> dict:
+    """Unlink segments whose recorded owner process is gone.
+
+    Scans the ownership registry; for every record whose PID no longer
+    exists, unlinks the listed segments (attach + unlink — unlinking also
+    clears this process's resource-tracker entry) and removes the record.
+    Records of live owners are left untouched.  Returns a report dict:
+    ``{"reaped_segments": [...], "stale_records": int}``.
+    """
+    reaped: List[str] = []
+    stale = 0
+    root = _registry_dir(create=False)
+    if not root.is_dir():
+        return {"reaped_segments": reaped, "stale_records": stale}
+    for entry in sorted(root.glob("*.json")):
+        try:
+            record = json.loads(entry.read_text())
+            pid = int(record["pid"])
+            names = [str(n) for n in record.get("segments", [])]
+        except (OSError, ValueError, KeyError, TypeError):
+            # unreadable record: treat as stale only if clearly abandoned
+            # (we cannot know the owner, so never touch segments)
+            with contextlib.suppress(OSError):
+                entry.unlink()
+            stale += 1
+            continue
+        if _pid_alive(pid):
+            continue
+        for name in names:
+            try:
+                shm = shared_memory.SharedMemory(name=name)
+            except FileNotFoundError:
+                continue  # already gone (finalizer or resource tracker won)
+            except OSError:
+                continue  # cannot attach: leave it for the OS
+            with contextlib.suppress(OSError):
+                shm.unlink()
+            with contextlib.suppress(OSError):
+                shm.close()
+            reaped.append(name)
+        with contextlib.suppress(OSError):
+            entry.unlink()
+        stale += 1
+    return {"reaped_segments": reaped, "stale_records": stale}
+
+
+# ---------------------------------------------------------------------------
+# Owner-side export and worker-side attachment
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -97,9 +233,8 @@ def _untracked_attach():
 def _release_segments(segments: List[shared_memory.SharedMemory], token: str = "") -> None:
     """Owner-side cleanup: close and unlink every block (idempotent).
 
-    Also drops the export's ownership-registry record (see
-    :mod:`repro.runtime.supervisor`) so the orphan reaper never sees live
-    segments as reclaimable.
+    Also drops the export's ownership-registry record so the orphan reaper
+    never sees live segments as reclaimable.
     """
     for shm in segments:
         with contextlib.suppress(Exception):
@@ -142,8 +277,8 @@ class SharedGraph:
             raise
         self.handle = SharedGraphHandle(token=token, n=g.n, m=g.m, blocks=tuple(blocks))
         self._closed = False
-        # supervisor-reapable ownership record: a crashed owner's segments
-        # can be identified (PID gone) and unlinked at the next startup
+        # ownership record: a crashed owner's segments can be identified
+        # (PID gone) and unlinked by the next supervised run
         register_segments(token, self.handle.block_names())
         # crash safety: unlink on GC / interpreter exit even without close()
         self._finalizer = weakref.finalize(self, _release_segments, self._segments, token)

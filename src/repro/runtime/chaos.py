@@ -1,7 +1,7 @@
 """Deterministic chaos harness: hard faults on a seeded schedule.
 
 :class:`ChaosPlan` extends :class:`~repro.runtime.faults.FaultPlan` with the
-three fault families the execution supervisor must survive (see
+three fault families a supervised run must survive (see
 ``docs/RESILIENCE.md``):
 
 - **worker kills** — a true ``SIGKILL`` of the worker process at the

@@ -15,10 +15,10 @@
   :func:`~repro.crp.multilevel.ml_query` — answers are bit-identical
   (pinned in ``tests/test_serving.py``);
 - **batched front end** — :meth:`ServingEngine.query_batch` amortizes
-  setup across a batch and can fan chunks out across the repo's
-  :class:`~repro.parallel.pool.WorkerPool` (thread kind; process pools
-  cannot see the driver-resident overlay and degrade to inline serving,
-  counted in the stats).
+  setup across a batch and can fan chunks out onto the pool of a threads
+  :class:`~repro.parallel.pool.ParallelRuntime` (a processes runtime's
+  workers cannot see the driver-resident overlay, so its batches degrade
+  to inline serving, counted in the stats).
 
 Counters (queries, batches, customizations, LRU hits/misses/evictions)
 surface through :meth:`ServingEngine.run_report` under a ``"serving"``
@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from ..core.config import RuntimeConfig
 from ..core.partition import Partition
 from ..crp.multilevel import (
     MultiLevelOverlay,
@@ -50,6 +51,7 @@ from ..crp.overlay import (
     patch_overlay,
     patch_overlay_weights,
 )
+from ..parallel.pool import ParallelRuntime, resilient_map
 from .metric_cache import MetricLRU, metric_fingerprint
 from .workspace import SearchWorkspace
 
@@ -60,6 +62,10 @@ if TYPE_CHECKING:  # runtime import is deferred to enable_updates (no cycle)
 __all__ = ["ServingConfig", "ServingEngine"]
 
 _INF = float("inf")
+
+#: fan-out chunks get one pooled attempt; a chunk that fails there is served
+#: again inline, which raises its error to the caller
+_FANOUT_POLICY = RuntimeConfig(max_retries=0, backoff_base=0.0)
 
 
 @dataclass(frozen=True)
@@ -464,16 +470,15 @@ class ServingEngine:
         self,
         sources: Sequence[int],
         targets: Sequence[int],
-        pool: Optional[Any] = None,
+        pool: Optional[ParallelRuntime] = None,
     ) -> np.ndarray:
         """Distances for aligned source/target id sequences.
 
-        One workspace serves the whole batch inline; with a thread-kind
-        :class:`~repro.parallel.pool.WorkerPool` (or a
-        :class:`~repro.parallel.pool.ParallelRuntime` wrapping one) the
-        batch is split into ``config.fanout_chunk``-sized contiguous
-        chunks served by per-worker workspaces.  Results are written by
-        position, so the answer array is independent of scheduling — and
+        One workspace serves the whole batch inline; with a threads
+        :class:`~repro.parallel.pool.ParallelRuntime` the batch is split
+        into ``config.fanout_chunk``-sized contiguous chunks served by
+        per-worker workspaces on the runtime's pool.  Results are written
+        by position, so the answer array is independent of scheduling — and
         bit-identical to serving each query alone.
         """
         src = [int(x) for x in sources]
@@ -484,10 +489,10 @@ class ServingEngine:
         out = np.full(k, np.inf, dtype=np.float64)
         settled_sum = 0
 
-        worker_pool = self._thread_pool_of(pool)
-        if pool is not None and worker_pool is None and self.config.collect_stats:
+        fan_out = pool is not None and pool.backend == "threads"
+        if pool is not None and not fan_out and self.config.collect_stats:
             self.counters.fanout_degraded += 1
-        if worker_pool is None or k <= self.config.fanout_chunk:
+        if not fan_out or k <= self.config.fanout_chunk:
             ws = self._checkout_workspace()
             try:
                 for i in range(k):
@@ -508,14 +513,20 @@ class ServingEngine:
                 finally:
                     self._return_workspace(ws)
 
-            for (lo, _hi), answers in zip(
-                spans, worker_pool.map_ordered(serve_span, spans)
-            ):
+            served, report = resilient_map(
+                serve_span, spans, parallel=pool, runtime=_FANOUT_POLICY
+            )
+            for span, answers in zip(spans, served):
+                if answers is None:
+                    answers = serve_span(span)
                 for off, (d, n_settled) in enumerate(answers):
-                    out[lo + off] = d
+                    out[span[0] + off] = d
                     settled_sum += n_settled
             if self.config.collect_stats:
-                self.counters.fanout_batches += 1
+                if report.final_executor == "threads":
+                    self.counters.fanout_batches += 1
+                else:  # the runtime's pool is retired: served inline
+                    self.counters.fanout_degraded += 1
 
         if self.config.collect_stats:
             c = self.counters
@@ -524,24 +535,6 @@ class ServingEngine:
             c.queries += k
             c.settled_total += settled_sum
         return out
-
-    @staticmethod
-    def _thread_pool_of(pool: Optional[Any]) -> Optional[Any]:
-        """Unwrap a usable thread pool; process pools cannot share the overlay."""
-        if pool is None:
-            return None
-        inner = pool
-        accessor = getattr(inner, "pool", None)
-        if callable(accessor):  # ParallelRuntime exposes .pool()
-            inner = accessor()
-        if inner is None:
-            return None
-        if getattr(inner, "kind", None) != "threads":
-            return None
-        usable = getattr(inner, "usable", None)
-        if callable(usable) and not usable():
-            return None
-        return inner
 
     # -- reporting ---------------------------------------------------------
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..graph.graph import Graph
+from ..parallel.pool import ParallelRuntime
 from .engine import ServingEngine
 
 __all__ = ["QueryLog", "ReplayResult", "replay", "synthetic_query_log"]
@@ -146,7 +147,7 @@ def replay(
     engine: ServingEngine,
     log: QueryLog,
     batch_size: int = 50,
-    pool: Optional[Any] = None,
+    pool: Optional[ParallelRuntime] = None,
 ) -> ReplayResult:
     """Drive ``engine`` through ``log`` and measure serving behavior.
 

@@ -136,7 +136,7 @@ class IncrementalUpdater:
         )
         self.journal = DirtyRegionJournal()
         # PunchResult of the most recent repair/rebuild run (None for
-        # weight-only updates): checkpoint-recovery and supervisor
+        # weight-only updates): checkpoint-recovery and supervision
         # telemetry of the inner run, for tests and debugging
         self.last_punch_result: Optional[PunchResult] = None
         self._seq = 0

@@ -1,11 +1,9 @@
 """Tests for the analysis/measurement layer."""
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.analysis import PhaseTimer, aggregate, fmt, partition_stats, render_table
+from repro.analysis import aggregate, fmt, partition_stats, render_table
 from repro.core import Partition
 
 from .conftest import cycle_graph, make_graph
@@ -62,26 +60,6 @@ class TestRenderTable:
         assert fmt(12345.6) == "12346"
 
 
-class TestPhaseTimer:
-    def test_accumulates(self):
-        t = PhaseTimer()
-        with t.phase("a"):
-            time.sleep(0.01)
-        with t.phase("a"):
-            pass
-        with t.phase("b"):
-            pass
-        assert t.totals["a"] >= 0.01
-        assert t.total() >= t.totals["a"]
-
-    def test_exception_still_recorded(self):
-        t = PhaseTimer()
-        with pytest.raises(RuntimeError):
-            with t.phase("x"):
-                raise RuntimeError
-        assert "x" in t.totals
-
-
 class TestExperimentDrivers:
     """Smoke tests for the experiment drivers on tiny instances."""
 
@@ -110,11 +88,11 @@ class TestExperimentDrivers:
         assert "mini_like" in out
 
     def test_executor_map(self):
-        from repro.parallel import WorkerPool
-        from repro.runtime import resilient_map
+        from repro.core.config import ParallelConfig
+        from repro.parallel import ParallelRuntime, resilient_map
 
         assert resilient_map(lambda x: x + 1, [1, 2, 3])[0] == [2, 3, 4]
-        with WorkerPool(workers=2, kind="threads") as pool:
-            assert resilient_map(lambda x: x * 2, [1, 2], pool=pool)[0] == [2, 4]
+        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
+            assert resilient_map(lambda x: x * 2, [1, 2], parallel=rt)[0] == [2, 4]
         with pytest.raises(ValueError):
-            WorkerPool(kind="gpu")
+            ParallelConfig(backend="gpu")

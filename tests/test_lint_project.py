@@ -155,9 +155,10 @@ class TestRngReachability:
 
 
 POOL_STUB = (
-    "class WorkerPool:\n"
-    "    def map_ordered(self, fn, payloads):\n"
-    "        return [fn(p) for p in payloads]\n"
+    "class ParallelRuntime:\n"
+    "    pass\n"
+    "def resilient_map(fn, items, *, parallel=None, runtime=None):\n"
+    "    return [fn(p) for p in items], None\n"
 )
 
 
@@ -166,10 +167,10 @@ class TestGeneratorPayloads:
         analysis = run(tmp_path, {
             "pool.py": POOL_STUB,
             "assembly/multi.py": (
-                "from proj.pool import WorkerPool\n"
+                "from proj.pool import ParallelRuntime, resilient_map\n"
                 "def multistart(tasks, rng):\n"
-                "    pool = WorkerPool()\n"
-                "    return pool.map_ordered(_work, [(rng, t) for t in tasks])\n"
+                "    rt = ParallelRuntime()\n"
+                "    return resilient_map(_work, [(rng, t) for t in tasks], parallel=rt)\n"
                 "def _work(payload):\n"
                 "    return payload\n"
             ),
@@ -182,12 +183,12 @@ class TestGeneratorPayloads:
         analysis = run(tmp_path, {
             "pool.py": POOL_STUB,
             "assembly/multi.py": (
-                "from proj.pool import WorkerPool\n"
+                "from proj.pool import ParallelRuntime, resilient_map\n"
                 "def multistart(tasks, rng):\n"
                 "    def work(t):\n"
                 "        return rng.random() + t\n"
-                "    pool = WorkerPool()\n"
-                "    return pool.map_ordered(work, tasks)\n"
+                "    rt = ParallelRuntime()\n"
+                "    return resilient_map(work, tasks, parallel=rt)\n"
             ),
         })
         hits = rules_of(analysis, "REPRO112")
@@ -198,11 +199,11 @@ class TestGeneratorPayloads:
         analysis = run(tmp_path, {
             "pool.py": POOL_STUB,
             "assembly/multi.py": (
-                "from proj.pool import WorkerPool\n"
+                "from proj.pool import ParallelRuntime, resilient_map\n"
                 "def multistart(tasks, rng):\n"
                 "    seeds = [int(s) for s in rng.integers(0, 2**31, len(tasks))]\n"
-                "    pool = WorkerPool()\n"
-                "    return pool.map_ordered(_work, list(zip(seeds, tasks)))\n"
+                "    rt = ParallelRuntime()\n"
+                "    return resilient_map(_work, list(zip(seeds, tasks)), parallel=rt)\n"
                 "def _work(payload):\n"
                 "    return payload\n"
             ),

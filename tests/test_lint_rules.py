@@ -248,9 +248,11 @@ class TestBareSharedMemory:
         res = check(self.SRC, path="src/repro/parallel/shared_graph.py")
         assert res.violations == []
 
-    def test_allowed_in_supervisor(self):
+    def test_flagged_in_runtime_package(self):
+        # the orphan reaper lives in shared_graph.py now; the runtime package
+        # gets no exemption
         res = check(self.SRC, path="src/repro/runtime/supervisor.py")
-        assert res.violations == []
+        assert rule_ids(res) == ["REPRO109"]
 
     def test_other_shared_memory_calls_not_flagged(self):
         res = check(

@@ -1,4 +1,4 @@
-"""WorkerPool, LPT scheduling, ParallelRuntime lifecycle, and degradation."""
+"""The runtime's pool, LPT scheduling, ParallelRuntime lifecycle, degradation."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import ParallelConfig, PunchConfig, RuntimeConfig
-from repro.parallel import ParallelRuntime, WorkerPool, lpt_batches, resolve_graph
-from repro.runtime.executor import resilient_map
+from repro.parallel import ParallelRuntime, lpt_batches, resilient_map, resolve_graph
+from repro.parallel.shared_graph import registered_tokens
 from repro.runtime.faults import FaultPlan
-from repro.runtime.supervisor import registered_tokens
 
 from .conftest import make_graph, random_connected_graph
 
@@ -62,62 +61,69 @@ class TestLptBatches:
 
 
 class TestWorkerPool:
+    """The pool a :class:`ParallelRuntime` builds, reuses and retires."""
+
     def test_threads_map_preserves_order(self):
-        with WorkerPool(workers=4, kind="threads") as pool:
-            out = pool.map_ordered(lambda x: x * x, list(range(20)))
+        with ParallelRuntime(ParallelConfig(backend="threads", workers=4)) as rt:
+            out, report = resilient_map(lambda x: x * x, list(range(20)), parallel=rt)
         assert out == [i * i for i in range(20)]
+        assert report.final_executor == "threads"
 
     def test_invalid_kind(self):
-        with pytest.raises(ValueError, match="pool kind"):
-            WorkerPool(kind="fibers")
+        with pytest.raises(ValueError, match="backend"):
+            ParallelConfig(backend="fibers")
 
     def test_invalid_worker_count(self):
         # 0 used to slip through as "all cores"; only None means that
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers"):
-                WorkerPool(workers=workers, kind="threads")
-        with WorkerPool(workers=None, kind="threads") as pool:
-            assert pool.workers >= 1
+                ParallelConfig(backend="threads", workers=workers)
+        with ParallelRuntime(ParallelConfig(backend="threads", workers=None)) as rt:
+            assert rt.report()["workers"] >= 1
 
     def test_mark_broken_fires_callback_once(self):
-        calls = []
-        pool = WorkerPool(workers=1, kind="threads", on_broken=lambda: calls.append(1))
-        assert pool.usable()
-        pool.mark_broken()
-        pool.mark_broken()
-        assert not pool.usable()
-        assert calls == [1]
+        """Retiring the pool counts one break and releases the exports
+        once, however often it is called."""
+        g = random_connected_graph(30, 20, seed=5)
+        with ParallelRuntime(ParallelConfig(backend="processes", workers=1)) as rt:
+            rt.share(g)
+            assert rt.executor() is not None
+            rt.mark_broken()
+            rt.mark_broken()
+            assert rt.pool_breaks == 1
+            assert rt.active_segment_names() == []
+            assert rt.executor() is None
 
     def test_mark_broken_concurrent_callers_elect_one_winner(self):
         """Regression: mark_broken can race in from several failure sites
-        (harvest loop, fast path, watchdog); exactly one caller may run the
-        shutdown + on_broken callback."""
+        (harvest loop, watchdog); exactly one caller may run the shutdown
+        and count the break."""
         import threading
 
-        calls = []
         barrier = threading.Barrier(17)
-        pool = WorkerPool(workers=1, kind="threads", on_broken=lambda: calls.append(1))
+        rt = ParallelRuntime(ParallelConfig(backend="threads", workers=1))
+        assert rt.executor() is not None
 
         def storm():
             barrier.wait()
-            pool.mark_broken()
+            rt.mark_broken()
 
         threads = [threading.Thread(target=storm) for _ in range(16)]
         for t in threads:
             t.start()
         barrier.wait()
         for t in threads:
-            t.join()
-        assert not pool.usable()
-        assert calls == [1]
-        assert pool.on_broken is None
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert rt.pool_breaks == 1
+        assert rt.executor() is None
+        rt.close()
 
 
 class TestParallelRuntime:
     def test_serial_backend_has_no_pool(self):
         with ParallelRuntime(ParallelConfig(backend="serial")) as rt:
-            assert not rt.active()
-            assert rt.pool() is None
+            assert rt.executor() is None
             g = make_graph(3, [(0, 1), (1, 2)])
             handle = rt.share(g)
             assert not handle.is_shared
@@ -162,23 +168,49 @@ class TestParallelRuntime:
 
     def test_pool_reuse_same_object(self):
         with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
-            assert rt.pool() is rt.pool()
+            assert rt.executor() is rt.executor()
+
+    def test_share_after_retirement_stays_local(self, monkeypatch, tmp_path):
+        """Once the process pool is retired with no restart left, no worker
+        will read an export again: share() makes a local handle only, and
+        later sweeps run inline on it."""
+        from repro.filtering.natural_cuts import detect_natural_cuts
+
+        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
+        g = random_connected_graph(120, 60, seed=4)
+        with ParallelRuntime(ParallelConfig(backend="serial")) as serial:
+            serial_ids, _ = detect_natural_cuts(
+                g, 30, rng=np.random.default_rng(3), parallel=serial
+            )
+        with ParallelRuntime(ParallelConfig(backend="processes", workers=2)) as rt:
+            rt.mark_broken()
+            assert rt.executor() is None
+            before = rt.shared_bytes
+            handle = rt.share(g)
+            assert not handle.is_shared
+            assert rt.active_segment_names() == []
+            assert registered_tokens() == []
+            assert rt.shared_bytes == before
+            ids, stats = detect_natural_cuts(
+                g, 30, rng=np.random.default_rng(3), parallel=rt
+            )
+        assert np.array_equal(ids, serial_ids)
+        assert stats.final_executor == "serial"
 
 
 class TestResilientMapPooling:
-    def test_pool_fast_path_used(self):
+    def test_pooled_map_runs_on_runtime_pool(self):
         with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
             results, report = resilient_map(
-                lambda x: x + 1, list(range(10)), pool=rt.pool()
+                lambda x: x + 1, list(range(10)), parallel=rt
             )
         assert results == list(range(1, 11))
         assert report.final_executor == "threads"
 
     def test_broken_pool_runs_inline(self):
         with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
-            pool = rt.pool()
-            pool.mark_broken()
-            results, report = resilient_map(lambda x: x * 2, [1, 2, 3], pool=pool)
+            rt.mark_broken()
+            results, report = resilient_map(lambda x: x * 2, [1, 2, 3], parallel=rt)
         assert results == [2, 4, 6]
         assert report.final_executor == "serial"
         # a pool retired before the map is not a new degradation
@@ -204,7 +236,7 @@ class TestDegradation:
             results, report = resilient_map(
                 _probe_item,
                 [(x, handle) for x in range(6)],
-                pool=rt.pool(),
+                parallel=rt,
                 runtime=RuntimeConfig(fault_plan=plan),
             )
             # results are still correct, computed inline
@@ -216,18 +248,10 @@ class TestDegradation:
             assert rt.active_segment_names() == []
             for name in names:
                 assert not _segment_exists(name)
-            # ...including its supervisor-reapable ownership record
+            # ...including its reapable ownership record
             assert handle.token not in registered_tokens()
-            # ...and the runtime refuses to hand the broken pool out again
-            assert rt.pool() is None
-            # a later share() re-exports fresh segments (with a new record)
-            h2 = rt.share(g)
-            assert h2.is_shared and h2.token != handle.token
-            assert h2.token in registered_tokens()
-            fresh = rt.active_segment_names()
-            assert fresh and all(_segment_exists(n) for n in fresh)
-        assert not any(_segment_exists(n) for n in fresh)
-        assert h2.token not in registered_tokens()
+            # ...and the runtime never hands the retired pool out again
+            assert rt.executor() is None
 
     def test_broken_pool_without_supervisor_finishes_inline(self, monkeypatch):
         """A process pool broken before the run, with no supervisor to
@@ -249,7 +273,7 @@ class TestDegradation:
             seed=7, assembly=asm, parallel=ParallelConfig(backend="processes", workers=2)
         )
         with ParallelRuntime(cfg.parallel) as rt:
-            rt.pool().mark_broken()
+            rt.mark_broken()
 
             # count executor constructions wherever repro looks the classes
             # up: modules that bound them, and the package later imports read
@@ -284,7 +308,7 @@ class TestDegradation:
         self, monkeypatch, tmp_path
     ):
         """End-to-end: crash faults during a parallel run leave no segments
-        and no supervisor ownership records."""
+        and no ownership records."""
         from repro.core.punch import run_punch
 
         monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))

@@ -1,16 +1,18 @@
-"""Tests for resilient_map: inline runs, the run's pool, pool -> inline."""
+"""Tests for resilient_map: inline runs, the runtime's pool, pool -> inline."""
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import ParallelConfig, RuntimeConfig
-from repro.parallel import WorkerPool
-from repro.runtime import FaultPlan, RunBudget, resilient_map
-from repro.runtime.executor import DEGRADATION_ORDER
+from repro.parallel import ParallelRuntime, resilient_map
+from repro.parallel.pool import DEGRADATION_ORDER
+from repro.runtime import FaultPlan, RunBudget
 
 from .test_runtime_budget import FakeClock
 
@@ -23,6 +25,10 @@ def slow_if_odd(x):
     if x % 2:
         time.sleep(5.0)
     return x
+
+
+def _runtime(kind, workers):
+    return ParallelRuntime(ParallelConfig(backend=kind, workers=workers))
 
 
 def _policy(plan=None, max_retries=2):
@@ -39,15 +45,15 @@ class TestMapSubproblemsEdgeCases:
     """
 
     def test_empty_items_short_circuit(self):
-        # an empty map dispatches nothing, whatever pool it is handed
+        # an empty map dispatches nothing, whatever runtime it is handed
         assert resilient_map(double, [])[0] == []
         for kind in ("threads", "processes"):
-            with WorkerPool(workers=1, kind=kind) as pool:
-                results, report = resilient_map(double, [], pool=pool)
+            with _runtime(kind, 1) as rt:
+                results, report = resilient_map(double, [], parallel=rt)
                 assert results == []
                 assert report.items == 0
                 assert report.final_executor == kind
-                assert pool.usable()
+                assert rt.pool_breaks == 0
 
     def test_workers_zero_rejected(self):
         # 0 does not mean "all cores"; only None does
@@ -62,8 +68,6 @@ class TestMapSubproblemsEdgeCases:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             ParallelConfig(backend="gpu")
-        with pytest.raises(ValueError, match="pool kind"):
-            WorkerPool(kind="gpu")
 
 
 class TestResilientMapSerial:
@@ -127,17 +131,17 @@ class TestResilientMapSerial:
 
 class TestResilientMapPooled:
     def test_threads_clean(self):
-        with WorkerPool(workers=4, kind="threads") as pool:
-            results, report = resilient_map(double, list(range(16)), pool=pool)
+        with _runtime("threads", 4) as rt:
+            results, report = resilient_map(double, list(range(16)), parallel=rt)
         assert results == [2 * i for i in range(16)]
         assert report.final_executor == "threads"
 
     def test_timeout_counts_and_skips(self):
         # leaving the block waits for the sleepers, so no stray thread is
         # alive when a later test forks a process pool
-        with WorkerPool(workers=6, kind="threads") as pool:
+        with _runtime("threads", 6) as rt:
             results, report = resilient_map(
-                slow_if_odd, list(range(6)), pool=pool,
+                slow_if_odd, list(range(6)), parallel=rt,
                 runtime=_policy(max_retries=0), timeout=0.5,
             )
         assert [results[i] for i in range(0, 6, 2)] == [0, 2, 4]
@@ -148,9 +152,10 @@ class TestResilientMapPooled:
     def test_processes_unpicklable_degrades(self):
         # a lambda cannot cross a process boundary: every result is computed
         # inline instead, and the healthy pool stays in service
-        with WorkerPool(workers=2, kind="processes") as pool:
-            results, report = resilient_map(lambda x: x + 1, list(range(8)), pool=pool)
-            assert pool.usable()
+        with _runtime("processes", 2) as rt:
+            results, report = resilient_map(lambda x: x + 1, list(range(8)), parallel=rt)
+            assert rt.pool_breaks == 0
+            assert resilient_map(double, [4], parallel=rt)[1].final_executor == "processes"
         assert results == [i + 1 for i in range(8)]
         assert report.executor_degradations == 1
         assert report.final_executor == "serial"
@@ -158,24 +163,47 @@ class TestResilientMapPooled:
     def test_processes_crash_degrades(self):
         # ~40% of first-attempt workers call os._exit -> BrokenProcessPool
         plan = FaultPlan(seed=3, crash_rate=0.4, max_attempt=0, sites=("process",))
-        with WorkerPool(workers=2, kind="processes") as pool:
+        with _runtime("processes", 2) as rt:
             results, report = resilient_map(
-                double, list(range(12)), pool=pool, runtime=_policy(plan, max_retries=1)
+                double, list(range(12)), parallel=rt, runtime=_policy(plan, max_retries=1)
             )
-            assert not pool.usable()
+            assert rt.pool_breaks == 1
+            assert rt.executor() is None  # retired: no restart without supervision
         assert results == [2 * i for i in range(12)]
         assert report.executor_degradations == 1
         assert report.final_executor == "serial"
 
     def test_worker_faults_in_threads_retry(self):
         plan = FaultPlan(seed=4, failure_rate=0.5, max_attempt=0)
-        with WorkerPool(workers=4, kind="threads") as pool:
+        with _runtime("threads", 4) as rt:
             results, report = resilient_map(
-                double, list(range(20)), pool=pool, runtime=_policy(plan)
+                double, list(range(20)), parallel=rt, runtime=_policy(plan)
             )
         assert results == [2 * i for i in range(20)]
         assert report.retries > 0
         assert report.final_executor == "threads"
+
+    def test_failing_task_reruns_only_itself(self):
+        """A raising task is retried alone; the items that succeeded are
+        not run a second time."""
+        calls = Counter()
+        lock = threading.Lock()
+
+        def flaky(x):
+            with lock:
+                calls[x] += 1
+                first = calls[x] == 1
+            if x == 3 and first:
+                raise ValueError("first attempt fails")
+            return x
+
+        with _runtime("threads", 2) as rt:
+            results, report = resilient_map(
+                flaky, list(range(8)), parallel=rt, runtime=_policy()
+            )
+        assert results == list(range(8))
+        assert report.retries == 1
+        assert calls == Counter({x: 2 if x == 3 else 1 for x in range(8)})
 
     def test_degradation_order_constant(self):
         assert DEGRADATION_ORDER == ("processes", "serial")

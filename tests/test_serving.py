@@ -205,27 +205,29 @@ class TestVectorizedCustomization:
 
 class TestFanout:
     def test_thread_pool_fanout_bit_identical(self, served):
-        from repro.parallel.pool import WorkerPool
+        from repro.core.config import ParallelConfig
+        from repro.parallel import ParallelRuntime
 
         g, _, overlay = served
         eng = ServingEngine(overlay, ServingConfig(fanout_chunk=16))
         S, T = _pairs(g, 100, 8)
         inline = eng.query_batch(S, T)
-        with WorkerPool(workers=4, kind="threads") as pool:
-            fanned = eng.query_batch(S, T, pool=pool)
+        with ParallelRuntime(ParallelConfig(backend="threads", workers=4)) as rt:
+            fanned = eng.query_batch(S, T, pool=rt)
         assert np.array_equal(inline, fanned)
         assert eng.counters.fanout_batches == 1
 
     def test_process_pool_degrades_inline(self, served):
+        from repro.core.config import ParallelConfig
+        from repro.parallel import ParallelRuntime
+
         g, _, overlay = served
         eng = ServingEngine(overlay, ServingConfig(fanout_chunk=16))
         S, T = _pairs(g, 40, 9)
         inline = eng.query_batch(S, T)
-
-        class FakeProcessPool:  # duck-typed: wrong kind -> must degrade
-            kind = "processes"
-
-        degraded = eng.query_batch(S, T, pool=FakeProcessPool())
+        # process workers cannot see the driver-resident overlay
+        with ParallelRuntime(ParallelConfig(backend="processes", workers=1)) as rt:
+            degraded = eng.query_batch(S, T, pool=rt)
         assert np.array_equal(inline, degraded)
         assert eng.counters.fanout_degraded == 1
         assert eng.counters.fanout_batches == 0

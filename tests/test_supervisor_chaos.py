@@ -1,11 +1,13 @@
-"""Chaos suite: the execution supervisor under deterministic hard faults.
+"""Chaos suite: supervised runs under deterministic hard faults.
 
 Every scenario follows the same acceptance shape: inject a hard fault
 (SIGKILLed worker, corrupted checkpoint, orphaned shared-memory segment,
 cache pressure) on a seeded :class:`~repro.runtime.chaos.ChaosPlan`
 schedule, let the run complete, and assert the partition is bit-identical
-to the fault-free serial baseline.  The supervisor may only change *where*
-work runs and *which* checkpoint generation is trusted — never the answer.
+to the fault-free serial baseline.  Supervision (the watchdog and restart
+budget of :class:`~repro.parallel.pool.ParallelRuntime`) may only change
+*where* work runs and *which* checkpoint generation is trusted — never the
+answer.
 """
 
 from __future__ import annotations
@@ -27,18 +29,17 @@ from repro.core.config import (
 )
 from repro.core.punch import run_punch
 from repro.assembly.multistart import multistart
-from repro.parallel.pool import ParallelRuntime, WorkerPool
-from repro.parallel.shared_graph import _untracked_attach
-from repro.runtime import CheckpointError, load_checkpoint
-from repro.runtime.chaos import ChaosPlan
-from repro.runtime.supervisor import (
-    Supervisor,
-    _heartbeat_probe,
+from repro.parallel import pool as pool_mod
+from repro.parallel.pool import ParallelRuntime, in_worker, resilient_map
+from repro.parallel.shared_graph import (
+    _untracked_attach,
     reap_orphan_segments,
     register_segments,
     registered_tokens,
     unregister_segments,
 )
+from repro.runtime import CheckpointError, load_checkpoint
+from repro.runtime.chaos import ChaosPlan
 
 from .conftest import random_connected_graph
 
@@ -50,6 +51,21 @@ def _noop():
 def _sleep_task(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _sleep_in_worker(x):
+    """Wedges a pool worker for far longer than any test waits; inline it
+    returns at once."""
+    if in_worker():
+        time.sleep(60.0)
+    return 2 * x
+
+
+def _supervised(kind="processes", workers=1, **runtime):
+    return ParallelRuntime(
+        ParallelConfig(backend=kind, workers=workers),
+        RuntimeConfig(supervise=True, **runtime),
+    )
 
 
 def _dead_pid() -> int:
@@ -144,109 +160,100 @@ class TestShmRegistry:
 
 
 class TestSupervisorWatchdog:
+    """The watchdog and restart budget a supervised runtime applies."""
+
+    @pytest.fixture
+    def probe_every_check(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "HEARTBEAT_INTERVAL", 0.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            Supervisor(heartbeat_timeout=0)
+            RuntimeConfig(heartbeat_timeout=0)
         with pytest.raises(ValueError):
-            Supervisor(heartbeat_interval=-1)
-        with pytest.raises(ValueError):
-            Supervisor(max_pool_restarts=-1)
-        with pytest.raises(ValueError):
-            Supervisor(max_stall_beats=0)
+            RuntimeConfig(max_pool_restarts=-1)
 
-    def test_thread_pools_are_trusted(self):
-        sup = Supervisor()
-        with WorkerPool(workers=1, kind="threads") as pool:
-            assert sup.inspect(pool) is True
-        assert sup.heartbeats_ok == 0
-        assert sup.report() == {"enabled": True}
+    def test_thread_pools_are_trusted(self, probe_every_check):
+        with _supervised("threads") as rt:
+            assert rt._healthy(rt.executor()) is True
+            assert rt.heartbeats_ok == 0
+            assert rt.supervisor_report() == {"enabled": True}
 
-    def test_heartbeat_ok_on_healthy_pool(self):
-        sup = Supervisor(heartbeat_timeout=30.0, heartbeat_interval=0.0)
-        with WorkerPool(workers=1, kind="processes") as pool:
-            assert sup.inspect(pool) is True
-            assert sup.inspect(pool) is True
-        assert sup.heartbeats_ok == 2
-        assert sup.report()["heartbeats_ok"] == 2
+    def test_heartbeat_ok_on_healthy_pool(self, probe_every_check):
+        with _supervised(heartbeat_timeout=30.0) as rt:
+            ex = rt.executor()
+            assert rt._healthy(ex) is True
+            assert rt._healthy(ex) is True
+            assert rt.heartbeats_ok == 2
+            assert rt.supervisor_report()["heartbeats_ok"] == 2
 
-    def test_heartbeat_interval_throttles_probes(self):
-        sup = Supervisor(heartbeat_timeout=30.0, heartbeat_interval=3600.0)
-        with WorkerPool(workers=1, kind="processes") as pool:
-            assert sup.inspect(pool) is True  # first probe always runs
-            assert sup.inspect(pool) is True  # within the interval: no probe
-        assert sup.heartbeats_ok == 1
+    def test_heartbeat_interval_throttles_probes(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "HEARTBEAT_INTERVAL", 3600.0)
+        with _supervised(heartbeat_timeout=30.0) as rt:
+            ex = rt.executor()
+            assert rt._healthy(ex) is True  # first probe always runs
+            assert rt._healthy(ex) is True  # within the interval: no probe
+            assert rt.heartbeats_ok == 1
 
-    def test_dead_worker_detected(self):
-        sup = Supervisor(heartbeat_timeout=30.0, heartbeat_interval=0.0)
-        pool = WorkerPool(workers=1, kind="processes")
-        try:
-            wpid, _ = pool.executor.submit(_heartbeat_probe, 0).result(timeout=30)
+    def test_dead_worker_detected(self, probe_every_check):
+        with _supervised(heartbeat_timeout=30.0) as rt:
+            ex = rt.executor()
+            wpid, _ = ex.submit(pool_mod._heartbeat_probe, 0).result(timeout=30)
+            procs = pool_mod._worker_processes(ex)
             os.kill(wpid, signal.SIGKILL)
-            procs = pool.executor._processes
             deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and all(
-                p.is_alive() for p in list(procs.values())
-            ):
+            while time.monotonic() < deadline and all(p.is_alive() for p in procs):
                 time.sleep(0.02)
-            assert sup.inspect(pool) is False
-            assert sup.dead_workers_detected == 1
-        finally:
-            pool.mark_broken()
+            assert rt._healthy(ex) is False
+            assert rt.dead_workers_detected == 1
+            assert rt.pool_breaks == 1
 
-    def test_hung_pool_detected_by_heartbeat_timeout(self):
-        sup = Supervisor(heartbeat_timeout=0.2, heartbeat_interval=0.0)
-        pool = WorkerPool(workers=1, kind="processes")
-        try:
+    def test_hung_pool_detected_by_heartbeat_timeout(self, probe_every_check):
+        with _supervised(heartbeat_timeout=0.2) as rt:
+            ex = rt.executor()
             # occupy the only worker so the sentinel queues behind it
-            fut = pool.executor.submit(_sleep_task, 1.0)
-            assert sup.inspect(pool) is False
-            assert sup.hung_pools_detected == 1
-            fut.result(timeout=30)  # let the worker drain before shutdown
-        finally:
-            pool.shutdown()
+            ex.submit(_sleep_task, 30.0)
+            assert rt._healthy(ex) is False
+            assert rt.hung_pools_detected == 1
 
-    def test_health_check_marks_pool_broken(self):
-        sup = Supervisor(heartbeat_timeout=0.2, heartbeat_interval=0.0)
-        pool = WorkerPool(workers=1, kind="processes", supervisor=sup)
-        try:
-            pool.executor.submit(_sleep_task, 1.0)
-            assert pool.health_check() is False
-            assert not pool.usable()
-            # a broken pool short-circuits: no second probe happens
-            assert pool.health_check() is False
-            assert sup.hung_pools_detected == 1
-        finally:
-            pool.mark_broken()
+    def test_health_check_marks_pool_broken(self, probe_every_check):
+        with _supervised(heartbeat_timeout=0.2, max_pool_restarts=0) as rt:
+            ex = rt.executor()
+            ex.submit(_sleep_task, 30.0)
+            assert rt._healthy(ex) is False
+            assert rt.pool_breaks == 1
+            assert rt.executor() is None
+            # a retired pool is never probed again: the map runs inline
+            results, report = resilient_map(_sleep_task, [0.0], parallel=rt)
+            assert results == [0.0] and report.final_executor == "serial"
+            assert rt.hung_pools_detected == 1
 
     def test_restart_budget(self):
-        sup = Supervisor(max_pool_restarts=2)
-        assert sup.grant_restart() is True
-        assert sup.grant_restart() is True
-        assert sup.grant_restart() is False
-        assert sup.pool_restarts == 2
-        assert sup.report()["pool_restarts"] == 2
+        with _supervised("threads", max_pool_restarts=2) as rt:
+            for _ in range(3):
+                assert rt.executor() is not None
+                rt.mark_broken()
+            assert rt.executor() is None
+            assert rt.pool_restarts == 2
+            # one count, reported in both run-report sections
+            assert rt.supervisor_report()["pool_restarts"] == 2
+            assert rt.report()["pool_restarts"] == 2
 
     def test_supervised_runtime_respawns_pool_once(self):
         g = random_connected_graph(40, 20, seed=1)
-        rt = ParallelRuntime(ParallelConfig(backend="processes", workers=2))
-        rt.supervisor = Supervisor(max_pool_restarts=1)
-        try:
+        with _supervised(workers=2, max_pool_restarts=1) as rt:
             rt.share(g)
-            first = rt.pool()
+            first = rt.executor()
             assert first is not None
-            first.mark_broken()
+            rt.mark_broken()
             assert rt.pool_breaks == 1
             # budget of 1: the next dispatch gets a fresh pool...
-            rt.share(g)  # re-export (the break released the segments)
-            second = rt.pool()
+            assert rt.share(g).is_shared  # re-export (the break released the segments)
+            second = rt.executor()
             assert second is not None and second is not first
-            assert second.usable()
             assert rt.pool_restarts == 1
             # ...but a second collapse retires the tier for good
-            second.mark_broken()
-            assert rt.pool() is None
-        finally:
-            rt.close()
+            rt.mark_broken()
+            assert rt.executor() is None
 
     def test_startup_reaps_orphans(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
@@ -255,12 +262,32 @@ class TestSupervisorWatchdog:
         name = shm.name
         shm.close()
         register_segments("tok-orphan", [name], pid=_dead_pid())
-        sup = Supervisor()
-        report = sup.startup()
-        assert name in report["reaped_segments"]
-        assert sup.orphans_reaped == 1
-        assert sup.report()["orphans_reaped"] == 1
+        with _supervised("serial") as rt:
+            assert rt.orphans_reaped == 1
+            assert rt.supervisor_report()["orphans_reaped"] == 1
         assert not _segment_exists(name)
+
+    def test_default_supervised_map_declares_stalled_pool_hung(self):
+        """A supervised map with no budget, timeout or fault plan still
+        watches its futures: a wedged pool is declared hung after a few
+        heartbeat slices, the work finishes inline, and the retired pool's
+        workers are stopped rather than left to run out their task."""
+        before = {p.pid for p in mp.active_children()}
+        with _supervised(workers=2, heartbeat_timeout=0.2) as rt:
+            t0 = time.monotonic()
+            results, report = resilient_map(_sleep_in_worker, [0, 1, 2], parallel=rt)
+            elapsed = time.monotonic() - t0
+            assert elapsed < 20.0  # a pool worker would sleep 60 s
+            assert results == [0, 2, 4]
+            assert report.executor_degradations == 1
+            assert report.final_executor == "serial"
+            assert rt.supervisor_report()["hung_pools_detected"] == 1
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                p.pid not in before for p in mp.active_children()
+            ):
+                time.sleep(0.05)
+            assert [p.pid for p in mp.active_children() if p.pid not in before] == []
 
 
 # ---------------------------------------------------------------------------
