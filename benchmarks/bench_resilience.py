@@ -20,7 +20,6 @@ the repo root (the CI chaos-smoke gate).
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from pathlib import Path
@@ -63,7 +62,7 @@ def _best_of(fn, rounds: int) -> float:
 def _run():
     g = instance(NAME)
     problems = collect_cut_problems(g, U, 1.0, 10.0, np.random.default_rng(0))
-    solve = functools.partial(_solve_one, solver="push_relabel")
+    solve = _solve_one
 
     plain = lambda: [solve(p) for p in problems]
     resilient = lambda: resilient_map(solve, problems)

@@ -1,110 +1,28 @@
-"""FlowCutter-style bisection (Hamann & Strasser, simplified).
+"""FlowCutter bisection and recursive k-way partitioning (Hamann & Strasser).
 
 FlowCutter is, besides Inertial Flow, the main open alternative to PUNCH
 for road-network partitioning (see the reproduction notes in DESIGN.md).
-Its core idea: compute an incremental s-t max flow; whenever the current
-min cut is too unbalanced, *pierce* it — promote a vertex just beyond the
-cut on the smaller side to a terminal — and continue augmenting.  The
-algorithm emits a sequence of cuts with non-decreasing cut size and
-improving balance; the caller picks the first (cheapest) cut meeting its
-balance goal.
-
-This implementation keeps the essential mechanics — multi-terminal
-incremental augmentation, source/target-side reachability, piercing with
-the *avoid-augmenting-paths* heuristic — on top of the repo's
-:class:`~repro.flow.network.FlowNetwork`.
+Its core idea — one incremental s-t max flow, *pierced* on its lighter
+side whenever the current min cut is too unbalanced — is the Pareto front
+of :func:`repro.flow.pareto.pareto_front`, the same front the
+``flowcutter`` cut engine enumerates.  This module adds only what the
+baseline needs on top: the terminal choice, the pick of one front point
+(the cheapest cut meeting the balance goal), and the recursion into ``k``
+cells.  Balance is measured in vertex size, and piercing is random.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..flow.network import FlowNetwork
+from ..flow.pareto import pareto_front
 from ..graph.graph import Graph
 from ..graph.subgraph import induced_subgraph
 
 __all__ = ["flowcutter_bisect", "flowcutter_partition"]
-
-
-def _reach_forward(net, flow, sources, n):
-    """Vertices reachable from the source set in the residual network."""
-    seen = np.zeros(n, dtype=bool)
-    q = deque()
-    for s in sources:
-        if not seen[s]:
-            seen[s] = True
-            q.append(s)
-    while q:
-        u = q.popleft()
-        for a in net.arcs_of(u):
-            a = int(a)
-            if net.arc_cap[a] - flow[a] > 1e-12:
-                w = int(net.arc_to[a])
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-    return seen
-
-
-def _reach_backward(net, flow, targets, n):
-    """Vertices that can reach the target set in the residual network."""
-    seen = np.zeros(n, dtype=bool)
-    q = deque()
-    for t in targets:
-        if not seen[t]:
-            seen[t] = True
-            q.append(t)
-    while q:
-        u = q.popleft()
-        for a in net.arcs_of(u):
-            a = int(a)
-            # arc (head -> u) has residual iff rev(a) does
-            if net.arc_cap[a ^ 1] - flow[a ^ 1] > 1e-12:
-                w = int(net.arc_to[a])
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-    return seen
-
-
-def _augment(net, flow, is_source, is_target, n) -> float:
-    """One BFS augmenting path from the source set to the target set."""
-    pred = np.full(n, -1, dtype=np.int64)
-    start = np.flatnonzero(is_source)
-    q = deque(int(x) for x in start)
-    pred[start] = -2
-    hit = -1
-    while q and hit < 0:
-        u = q.popleft()
-        for a in net.arcs_of(u):
-            a = int(a)
-            if net.arc_cap[a] - flow[a] > 1e-12:
-                w = int(net.arc_to[a])
-                if pred[w] == -1:
-                    pred[w] = a
-                    if is_target[w]:
-                        hit = w
-                        break
-                    q.append(w)
-    if hit < 0:
-        return 0.0
-    # bottleneck
-    bottleneck = np.inf
-    v = hit
-    while pred[v] != -2:
-        a = int(pred[v])
-        bottleneck = min(bottleneck, net.arc_cap[a] - flow[a])
-        v = int(net.arc_to[a ^ 1])
-    v = hit
-    while pred[v] != -2:
-        a = int(pred[v])
-        flow[a] += bottleneck
-        flow[a ^ 1] -= bottleneck
-        v = int(net.arc_to[a ^ 1])
-    return float(bottleneck)
 
 
 def flowcutter_bisect(
@@ -113,14 +31,12 @@ def flowcutter_bisect(
     t: Optional[int] = None,
     balance_goal: float = 0.33,
     rng: np.random.Generator | None = None,
-    max_iterations: Optional[int] = None,
 ) -> Tuple[np.ndarray, float]:
     """Bisect ``g``; returns ``(side_mask, cut_weight)``.
 
-    Emits internally a sequence of increasingly balanced cuts and returns
-    the first whose smaller side carries at least ``balance_goal`` of the
-    total vertex size (or the most balanced cut found if the goal proves
-    unreachable within the iteration budget).
+    Returns the cheapest front cut whose smaller side carries at least
+    ``balance_goal`` of the total vertex size, or the most balanced cut
+    found when none does.
     """
     rng = np.random.default_rng() if rng is None else rng
     n = g.n
@@ -141,64 +57,11 @@ def flowcutter_bisect(
         t = (s + 1) % n
 
     net = FlowNetwork(n, g.edge_u, g.edge_v, g.ewgt)
-    flow = np.zeros(net.n_arcs, dtype=np.float64)
-    is_source = np.zeros(n, dtype=bool)
-    is_target = np.zeros(n, dtype=bool)
-    is_source[s] = True
-    is_target[t] = True
-
-    total = float(g.vsize.sum())
-    goal = balance_goal * total
-    best_mask: Optional[np.ndarray] = None
-    best_cut = np.inf
-    best_balance = -1.0
-    budget = max_iterations if max_iterations is not None else 4 * n
-
-    for _ in range(budget):
-        while _augment(net, flow, is_source, is_target, n) > 0:
-            pass
-        sr = _reach_forward(net, flow, np.flatnonzero(is_source), n)
-        tr = _reach_backward(net, flow, np.flatnonzero(is_target), n)
-        size_s = float(g.vsize[sr].sum())
-        size_t = float(g.vsize[tr].sum())
-
-        # the two candidate cuts: around SR, or around the complement of TR
-        for mask, side_size in ((sr, size_s), (~tr, total - size_t)):
-            small = min(side_size, total - side_size)
-            cutw = float(g.ewgt[mask[g.edge_u] != mask[g.edge_v]].sum())
-            if small >= goal:
-                return mask.copy(), cutw
-            if small > best_balance or (small == best_balance and cutw < best_cut):
-                best_balance = small
-                best_cut = cutw
-                best_mask = mask.copy()
-
-        # pierce on the smaller side: promote a boundary vertex to terminal,
-        # preferring one that does not immediately re-open an augmenting
-        # path (the avoid-augmenting heuristic: not reachable by the other
-        # side's residual search)
-        if size_s <= size_t:
-            side, grow, other = sr, is_source, tr
-        else:
-            side, grow, other = tr, is_target, sr
-        candidates = []
-        fallback = []
-        for e in np.flatnonzero(side[g.edge_u] != side[g.edge_v]):
-            a, b = g.edge_endpoints(int(e))
-            outside = b if side[a] else a
-            if grow[outside]:
-                continue
-            (fallback if other[outside] else candidates).append(outside)
-        pool = candidates or fallback
-        if not pool:
-            break  # sides meet: no more cuts to discover
-        grow[int(rng.choice(pool))] = True
-
-    if best_mask is None:  # pathological; split arbitrarily
-        best_mask = np.zeros(n, dtype=bool)
-        best_mask[: n // 2] = True
-        best_cut = float(g.ewgt[best_mask[g.edge_u] != best_mask[g.edge_v]].sum())
-    return best_mask, best_cut
+    front = pareto_front(net, s, t, g.vsize, balance_goal, np.inf, rng)
+    # sorted by balance with capacity increasing: the first point meeting
+    # the goal is the cheapest one, the last point the most balanced
+    best = next((p for p in front if p.balance >= balance_goal), front[-1])
+    return best.side, best.value
 
 
 def flowcutter_partition(

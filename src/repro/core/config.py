@@ -113,7 +113,6 @@ class FilterConfig:
     detect_tiny_cuts: bool = True
     detect_natural_cuts: bool = True
     chunk_large_paths: bool = False  # pass-2 extension (off = paper behavior)
-    flow_solver: str = "push_relabel"
     # which CutEngine chooses the natural cut per subproblem: "push_relabel"
     # (paper's min cut, bit-identical default) or "flowcutter" (Pareto
     # enumeration; see docs/CUT_ENGINES.md and repro.cutengine)

@@ -1,12 +1,11 @@
-"""The :class:`CutEngine` interface (ROADMAP item 5).
+"""The :class:`CutEngine` interface.
 
 Natural-cut detection solves one contracted s-t cut instance per core/ring
-subproblem (``filtering/cut_problem.py``).  Historically that solve was
-hard-wired to a single push-relabel min cut; a :class:`CutEngine`
-abstracts *how the separating cut is chosen* so that alternative
-strategies — e.g. FlowCutter-style Pareto enumeration
-(:class:`~repro.cutengine.flowcutter.FlowCutterEngine`) — can plug in
-without touching the sweep, the executors, or the fragment extraction.
+subproblem (``filtering/cut_problem.py``).  A :class:`CutEngine` decides
+*how the separating cut is chosen*, so that alternative strategies — e.g.
+FlowCutter-style Pareto enumeration
+(:class:`~repro.cutengine.flowcutter.FlowCutterEngine`) — plug in without
+touching the sweep, the executors, or the fragment extraction.
 
 The contract every engine must honor:
 
@@ -23,14 +22,13 @@ The contract every engine must honor:
   bit-identical contract intact for every engine (the conformance suite in
   ``tests/test_cutengine_conformance.py`` pins it per registered engine).
 - :meth:`CutEngine.cache_key` salts the problem's network fingerprint with
-  :meth:`CutEngine.cache_token` (engine identity + parameters).  Two
-  engines may legally return *different* cuts for the same network, so a
-  :class:`~repro.perf.cut_cache.CutCache` entry written by one engine must
-  never be served to another — per-engine keying makes cross-engine hits
-  impossible by construction.
+  the engine's name.  Two engines may legally return *different* cuts for
+  the same network, so a :class:`~repro.perf.cut_cache.CutCache` entry
+  written by one engine must never be served to another — per-engine
+  keying makes cross-engine hits impossible by construction.
 - :meth:`CutEngine.solve_chain` exposes the resilience fallback chain
   (primary solve first, then independent fallbacks); filtering walks it
-  exactly like the historical per-solver chain.
+  attempt by attempt.
 """
 
 from __future__ import annotations
@@ -43,61 +41,37 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..filtering.cut_problem import CutProblem
 
-__all__ = ["CutEngine", "SolveFn", "SOLVER_FALLBACKS"]
+__all__ = ["CutEngine", "SolveFn"]
 
 #: one attempt at solving a cut problem: ``problem -> (value, source_side)``
 SolveFn = Callable[["CutProblem"], Tuple[float, np.ndarray]]
-
-#: fallback order when a flow solver raises: the paper's push-relabel drops
-#: to the BFS-based reference solvers, which are slower but independent code
-#: (historically lived in ``filtering/natural_cuts.py``, which re-exports it)
-SOLVER_FALLBACKS = {
-    "push_relabel": ("dinic", "edmonds_karp"),
-    "scipy": ("push_relabel", "dinic"),
-    "dinic": ("edmonds_karp",),
-    "edmonds_karp": ("dinic",),
-}
 
 
 class CutEngine(ABC):
     """Strategy for choosing the separating cut of one contracted instance."""
 
-    #: registry identifier; also the default cache-token payload
+    #: registry identifier; also the cache-key salt
     name: ClassVar[str] = ""
 
-    def cache_token(self) -> bytes:
-        """Engine identity (+ parameters) salted into every cache key.
-
-        Engines whose cuts depend on tunable parameters must fold them in
-        here, so differently-configured instances never share entries.
-        """
-        return self.name.encode("ascii")
-
-    def cache_key(self, problem: "CutProblem", solver: str = "push_relabel") -> bytes:
+    def cache_key(self, problem: "CutProblem") -> bytes:
         """Per-engine :class:`~repro.perf.cut_cache.CutCache` key.
 
         The network fingerprint alone is *not* a safe key across engines:
         equal fingerprints imply equal min-cut values, but engines are free
-        to return different (still valid) cuts for the same network.  The
-        configured flow ``solver`` is folded in too — different backends
-        may return different minimum cuts of equal value, and a long-lived
-        injected cache must not serve one backend's side mask to another.
+        to return different (still valid) cuts for the same network.
         """
-        return b"\x00".join(
-            (problem.fingerprint(), self.cache_token(), solver.encode("ascii"))
-        )
+        return b"\x00".join((problem.fingerprint(), self.name.encode("ascii")))
 
     @abstractmethod
     def solve(self, problem: "CutProblem") -> Tuple[float, np.ndarray]:
         """Return ``(cut_value, source_side_mask)`` for one instance."""
 
     @abstractmethod
-    def solve_chain(self, solver: str) -> Sequence[SolveFn]:
-        """Ordered solve attempts: the primary first, then fallbacks.
+    def solve_chain(self, problem: "CutProblem") -> Sequence[SolveFn]:
+        """Ordered solve attempts on ``problem``: the primary first, then fallbacks.
 
-        ``solver`` is the configured flow backend
-        (``FilterConfig.flow_solver``); engines that do not use the flow
-        solvers directly still append the push-relabel chain as a safety
-        net, so a crashing engine degrades to the paper's min cut instead
-        of dropping the subproblem.
+        The built-in engines build one chain and return it for every
+        problem.  Engines that do not use the flow solvers directly still
+        end with the min-cut chain as a safety net, so a crashing engine
+        degrades to the paper's min cut instead of dropping the subproblem.
         """

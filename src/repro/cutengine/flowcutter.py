@@ -1,114 +1,61 @@
-"""FlowCutter-style Pareto cut enumeration (Hamann & Strasser).
+"""FlowCutter as a cut engine: the sparsest point of the Pareto front.
 
-*Graph Bisection with Pareto-Optimization* observes that one incremental
-max-flow computation can certify a whole **front** of cuts trading cut
-capacity against balance: start from the terminals, saturate the flow,
-read off the two canonical minimum cuts (source-reachable side and
-sink-unreachable side), then *pierce* — assign one boundary vertex of the
-smaller side to its terminal and resume augmenting.  Each piercing step
-can only increase the flow, so the enumerated cuts have nondecreasing
-capacity along the balance axis, and the very first front point is exactly
-the minimum s-t cut the paper's push-relabel engine would return.
-
-:class:`FlowCutterEngine` runs that loop on the contracted core/ring
-instance of natural-cut detection and then **selects** one front point
-under a sparsity rule (capacity divided by the smaller side, the same
-quantity the ring/core construction is implicitly optimizing): thin,
-well-balanced natural cuts instead of the leftmost min cut.  The solve is
-a pure deterministic function of the problem — piercing candidates are
-ordered by local vertex id — so the serial ≡ threads ≡ processes contract
-holds unchanged.
-
-Scale note: the subproblems are small (a BFS tree of ``alpha * U``
-vertices plus two terminals), so the incremental augmentation here is
-BFS-based (Edmonds-Karp style) — per-problem work stays proportional to
-``cut_value * |arcs|`` with tiny constants, and every intermediate state
-is reused across piercing steps instead of recomputed.
+:class:`FlowCutterEngine` runs :func:`~repro.flow.pareto.pareto_front`
+(Hamann & Strasser, *Graph Bisection with Pareto-Optimization*) on the
+contracted core/ring instance of natural-cut detection and then **selects**
+one front point under a sparsity rule (capacity divided by the smaller
+side, the same quantity the ring/core construction is implicitly
+optimizing): thin, well-balanced natural cuts instead of the leftmost min
+cut.  The front is enumerated with unit vertex weights and without an RNG —
+piercing takes the smallest local vertex id — so the solve is a pure
+function of the problem and the serial ≡ threads ≡ processes contract holds
+unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
 from ..flow.network import FlowNetwork
+from ..flow.pareto import ParetoPoint, pareto_front
 from .base import CutEngine, SolveFn
+from .push_relabel import min_cut_chain
 from .registry import register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..filtering.cut_problem import CutProblem
 
-__all__ = ["FlowCutterEngine", "ParetoPoint"]
+__all__ = ["FlowCutterEngine"]
 
 _S_LOCAL = 0
 _T_LOCAL = 1
 
 
-@dataclass(frozen=True, eq=False)
-class ParetoPoint:
-    """One enumerated cut: capacity, source side, and derived measures."""
-
-    value: float  # total capacity crossing the cut
-    side: np.ndarray  # bool mask over local vertices; True = source side
-    source_size: int  # number of local vertices on the source side
-    n: int  # local vertex count of the instance
-
-    @property
-    def small_side(self) -> int:
-        """Vertices on the smaller side (the balance numerator)."""
-        return min(self.source_size, self.n - self.source_size)
-
-    @property
-    def balance(self) -> float:
-        """``small_side / n`` in ``[0, 0.5]``; higher is more balanced."""
-        return self.small_side / self.n
-
-    @property
-    def sparsity(self) -> float:
-        """Capacity per smaller-side vertex — the selection objective."""
-        return self.value / max(1, self.small_side)
-
-
 @register_engine
 class FlowCutterEngine(CutEngine):
-    """Pareto front of (cut capacity, balance) via incremental piercing.
-
-    Parameters
-    ----------
-    balance_goal : stop enumerating once a front point reaches this balance
-        (``0.5`` = perfectly balanced bisection of the local instance).
-    max_cut_factor : stop once the incremental flow exceeds this multiple
-        of the minimum cut — beyond it a cut is too expensive to ever win
-        the sparsity selection, so the work would be wasted.
-    """
+    """Pareto front of (cut capacity, balance) via incremental piercing."""
 
     name = "flowcutter"
 
-    def __init__(self, balance_goal: float = 0.5, max_cut_factor: float = 4.0) -> None:
-        if not (0.0 < balance_goal <= 0.5):
-            raise ValueError("balance_goal must be in (0, 0.5]")
-        if max_cut_factor < 1.0:
-            raise ValueError("max_cut_factor must be >= 1")
-        self.balance_goal = balance_goal
-        self.max_cut_factor = max_cut_factor
+    #: stop enumerating once a front point reaches this balance (``0.5`` =
+    #: a perfectly balanced bisection of the local instance)
+    BALANCE_GOAL = 0.5
+    #: stop once the flow exceeds this multiple of the minimum cut — beyond
+    #: it a cut is too expensive to ever win the sparsity selection
+    MAX_CUT_FACTOR = 4.0
 
-    def cache_token(self) -> bytes:
-        return f"{self.name}:{self.balance_goal}:{self.max_cut_factor}".encode("ascii")
-
-    # ------------------------------------------------------------------ API
+    def __init__(self) -> None:
+        # safety net: a FlowCutter failure degrades to the paper's min cut
+        self._chain = (self.solve, *min_cut_chain())
 
     def solve(self, problem: "CutProblem") -> Tuple[float, np.ndarray]:
-        front = self.enumerate_front(problem)
-        chosen = self.select(front)
+        chosen = self.select(self.enumerate_front(problem))
         return chosen.value, chosen.side
 
-    def solve_chain(self, solver: str) -> List[SolveFn]:
-        from .push_relabel import PushRelabelEngine
-
-        # safety net: a FlowCutter failure degrades to the paper's min cut
-        return [self.solve, *PushRelabelEngine(solver).solve_chain(solver)]
+    def solve_chain(self, problem: "CutProblem") -> Tuple[SolveFn, ...]:
+        return self._chain
 
     def select(self, front: List[ParetoPoint]) -> ParetoPoint:
         """Pick the front point to report: min sparsity, then min capacity.
@@ -120,225 +67,16 @@ class FlowCutterEngine(CutEngine):
             raise ValueError("empty Pareto front")
         return min(front, key=lambda p: (p.sparsity, p.value, p.source_size))
 
-    # ------------------------------------------------------- enumeration
-
     def enumerate_front(self, problem: "CutProblem") -> List[ParetoPoint]:
-        """Enumerate the nondominated (capacity, balance) front.
+        """The nondominated (capacity, balance) front of one instance.
 
-        Returns the points in enumeration order (nonincreasing capacity is
-        *not* guaranteed midway; dominated points are pruned before
-        returning, so the result is nondecreasing in capacity when sorted
-        by balance).  The first enumerated capacity equals the minimum s-t
-        cut value — the differential property suite pins this against the
-        push-relabel engine.
+        Sorted by balance with capacity strictly increasing; the cheapest
+        point's capacity equals the minimum s-t cut value — the
+        differential property suite pins this against the push-relabel
+        engine.
         """
         n = problem.n_local
         net = FlowNetwork(n, problem.net_u, problem.net_v, problem.net_cap)
-        flow = np.zeros(net.n_arcs, dtype=np.float64)
-        in_s = np.zeros(n, dtype=bool)
-        in_t = np.zeros(n, dtype=bool)
-        in_s[_S_LOCAL] = True
-        in_t[_T_LOCAL] = True
-
-        points: List[ParetoPoint] = []
-        value = 0.0
-        min_value: Optional[float] = None
-        # every piercing step grows S or T by >= 1 vertex, so 2n bounds the
-        # loop even before the balance/cost stops trigger
-        for _ in range(2 * n + 2):
-            value += _augment(net, flow, in_s, in_t)
-            if min_value is None:
-                min_value = value
-            if value > self.max_cut_factor * max(min_value, 1e-12) and points:
-                break  # too expensive to ever win selection
-            source_reach = _reach_forward(net, flow, in_s)
-            sink_reach = _reach_backward(net, flow, in_t)
-            # max-flow certificate: the two canonical min cuts for (S, T)
-            src_side = source_reach
-            snk_side = ~sink_reach
-            points.append(ParetoPoint(value, src_side.copy(), int(src_side.sum()), n))
-            if not np.array_equal(src_side, snk_side):
-                points.append(
-                    ParetoPoint(value, snk_side.copy(), int(snk_side.sum()), n)
-                )
-            if max(p.balance for p in points[-2:]) >= self.balance_goal:
-                break
-            # pierce the smaller side; the piercing vertex prefers to avoid
-            # creating an augmenting path (i.e. stays off the other side's
-            # reachable set), ties broken by smallest local id
-            if int(source_reach.sum()) <= int((~sink_reach).sum()):
-                in_s = source_reach.copy()
-                pierce = _pick_pierce(net, src_side, forbidden=in_t, avoid=sink_reach)
-                if pierce < 0:
-                    break
-                in_s[pierce] = True
-            else:
-                in_t = sink_reach.copy()
-                pierce = _pick_pierce(net, ~snk_side, forbidden=in_s, avoid=source_reach)
-                if pierce < 0:
-                    break
-                in_t[pierce] = True
-        return _prune_dominated(points)
-
-
-def _augment(
-    net: FlowNetwork, flow: np.ndarray, in_s: np.ndarray, in_t: np.ndarray
-) -> float:
-    """Saturate the flow between the S and T supernodes (BFS augmenting).
-
-    Incremental: existing flow is kept and extended.  Returns the capacity
-    added.  Deterministic — BFS seeds the queue with S in ascending vertex
-    order and scans arcs in adjacency order.
-    """
-    added = 0.0
-    n = net.n
-    adj_start, adj_arcs, arc_to, arc_cap = (
-        net.adj_start,
-        net.adj_arcs,
-        net.arc_to,
-        net.arc_cap,
-    )
-    while True:
-        parent_arc = np.full(n, -1, dtype=np.int64)
-        seen = in_s.copy()
-        queue: List[int] = [int(v) for v in np.flatnonzero(in_s)]
-        found = -1
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for a in adj_arcs[adj_start[u] : adj_start[u + 1]]:
-                a = int(a)
-                if arc_cap[a] - flow[a] <= 0:
-                    continue
-                w = int(arc_to[a])
-                if seen[w]:
-                    continue
-                seen[w] = True
-                parent_arc[w] = a
-                if in_t[w]:
-                    found = w
-                    break
-                queue.append(w)
-            if found >= 0:
-                break
-        if found < 0:
-            return added
-        # walk back to S for the bottleneck, then push
-        bottleneck = np.inf
-        v = found
-        while not in_s[v]:
-            a = int(parent_arc[v])
-            bottleneck = min(bottleneck, arc_cap[a] - flow[a])
-            v = int(arc_to[a ^ 1])
-        v = found
-        while not in_s[v]:
-            a = int(parent_arc[v])
-            flow[a] += bottleneck
-            flow[a ^ 1] -= bottleneck
-            v = int(arc_to[a ^ 1])
-        added += float(bottleneck)
-
-
-def _reach_forward(net: FlowNetwork, flow: np.ndarray, in_s: np.ndarray) -> np.ndarray:
-    """Vertices reachable from S along residual arcs (includes S)."""
-    seen = in_s.copy()
-    queue: List[int] = [int(v) for v in np.flatnonzero(in_s)]
-    adj_start, adj_arcs, arc_to, arc_cap = (
-        net.adj_start,
-        net.adj_arcs,
-        net.arc_to,
-        net.arc_cap,
-    )
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for a in adj_arcs[adj_start[u] : adj_start[u + 1]]:
-            a = int(a)
-            if arc_cap[a] - flow[a] <= 0:
-                continue
-            w = int(arc_to[a])
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return seen
-
-
-def _reach_backward(net: FlowNetwork, flow: np.ndarray, in_t: np.ndarray) -> np.ndarray:
-    """Vertices that can reach T along residual arcs (includes T).
-
-    Uses the arc pairing: for an arc ``b = w -> u``, the paired arc
-    ``b ^ 1 = u -> w`` is residual iff ``u`` can step to ``w``.
-    """
-    seen = in_t.copy()
-    queue: List[int] = [int(v) for v in np.flatnonzero(in_t)]
-    adj_start, adj_arcs, arc_to, arc_cap = (
-        net.adj_start,
-        net.adj_arcs,
-        net.arc_to,
-        net.arc_cap,
-    )
-    qi = 0
-    while qi < len(queue):
-        w = queue[qi]
-        qi += 1
-        for b in adj_arcs[adj_start[w] : adj_start[w + 1]]:
-            b = int(b)
-            if arc_cap[b ^ 1] - flow[b ^ 1] <= 0:
-                continue
-            u = int(arc_to[b])
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    return seen
-
-
-def _pick_pierce(
-    net: FlowNetwork, side: np.ndarray, forbidden: np.ndarray, avoid: np.ndarray
-) -> int:
-    """Choose the piercing vertex: a cut-boundary vertex just outside ``side``.
-
-    Preference order (FlowCutter's "avoid augmenting paths" heuristic):
-    boundary vertices outside ``avoid`` (the opposite terminal's reachable
-    set) first, then any boundary vertex; within a class the smallest local
-    id wins.  ``forbidden`` (the opposite terminal set) is never pierced.
-    Returns ``-1`` when no admissible vertex exists.
-    """
-    adj_start, adj_arcs, arc_to = net.adj_start, net.adj_arcs, net.arc_to
-    best = -1
-    best_avoided = -1
-    for u in np.flatnonzero(side):
-        u = int(u)
-        for a in adj_arcs[adj_start[u] : adj_start[u + 1]]:
-            w = int(arc_to[int(a)])
-            if side[w] or forbidden[w]:
-                continue
-            if not avoid[w]:
-                if best_avoided < 0 or w < best_avoided:
-                    best_avoided = w
-            elif best < 0 or w < best:
-                best = w
-    return best_avoided if best_avoided >= 0 else best
-
-
-def _prune_dominated(points: List[ParetoPoint]) -> List[ParetoPoint]:
-    """Keep the nondominated front, one point per smaller-side size.
-
-    A point dominates another when its capacity is no larger and its
-    balance no smaller.  The survivors, sorted by balance, have strictly
-    increasing capacity — the monotonicity the property suite asserts.
-    """
-    best_by_size: dict[int, ParetoPoint] = {}
-    for p in points:
-        cur = best_by_size.get(p.small_side)
-        if cur is None or p.value < cur.value:
-            best_by_size[p.small_side] = p
-    # a point survives only if strictly cheaper than every more balanced
-    # point, so capacity strictly increases along the balance axis
-    kept: List[ParetoPoint] = []
-    for size in sorted(best_by_size, reverse=True):  # most balanced first
-        p = best_by_size[size]
-        if not kept or p.value < kept[-1].value:
-            kept.append(p)
-    return list(reversed(kept))
+        return pareto_front(
+            net, _S_LOCAL, _T_LOCAL, np.ones(n), self.BALANCE_GOAL, self.MAX_CUT_FACTOR
+        )

@@ -19,10 +19,9 @@ depends on.
 (vertex count, endpoints, capacities) — two regions that contract to the
 same network have the same min-cut value and source side.
 :class:`~repro.perf.cut_cache.CutCache` keys on the fingerprint *salted
-with the cut engine and flow solver*
-(:meth:`repro.cutengine.base.CutEngine.cache_key`): engines and backends
-may legally return different valid cuts for the same network, so entries
-are never shared across them.
+with the cut engine* (:meth:`repro.cutengine.base.CutEngine.cache_key`):
+engines may legally return different valid cuts for the same network, so
+entries are never shared across them.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ then solves the min-cut instances inline or on the run's worker pool.
 
 Resilience (see ``docs/RESILIENCE.md``): subproblems run through
 :func:`~repro.parallel.pool.resilient_map`, each min-cut solve falls back
-along :data:`SOLVER_FALLBACKS` when a solver raises, and an expired
+along its engine's solve chain when a solver raises, and an expired
 :class:`~repro.runtime.budget.RunBudget` stops the detection early — every
 skip, retry, fallback, and degradation is counted on
 :class:`NaturalCutStats`.  Skipping a subproblem is always safe: natural
@@ -39,7 +39,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.config import RuntimeConfig
-from ..cutengine import SOLVER_FALLBACKS, get_engine
+from ..cutengine import get_engine
 from ..graph.graph import Graph
 from ..graph.traversal import BFSWorkspace, grow_bfs_region
 from ..lint.sanitizer import get_sanitizer
@@ -55,7 +55,6 @@ __all__ = [
     "detect_natural_cuts",
     "collect_cut_problems",
     "collect_cut_regions",
-    "SOLVER_FALLBACKS",  # re-export; canonical home is repro.cutengine.base
 ]
 
 #: LPT scheduling granularity of the pooled sweep: center batches per worker
@@ -224,7 +223,6 @@ def collect_cut_regions(
 
 def _solve_one(
     problem: CutProblem,
-    solver: str,
     fault_plan: Optional[FaultPlan] = None,
     engine: str = "push_relabel",
 ) -> tuple[float, np.ndarray, int]:
@@ -237,13 +235,13 @@ def _solve_one(
     engine's cache key) and reused for any problem with the same network
     fingerprint solved by the same engine.  The chain comes from
     :meth:`~repro.cutengine.base.CutEngine.solve_chain`: for the default
-    engine it is exactly the historical flow-solver fallback order; other
-    engines append the push-relabel chain as a safety net.  Fault injection
+    engine it is push-relabel, then Dinic, then Edmonds-Karp; other engines
+    append that min-cut chain as a safety net.  Fault injection
     at the ``"flow"`` site is keyed by the problem's center and the position
     in the chain, so a plan with ``max_attempt=0`` fails the primary solve
     and lets the first fallback succeed.
     """
-    chain = get_engine(engine).solve_chain(solver)
+    chain = get_engine(engine).solve_chain(problem)
     last_exc: Exception | None = None
     for pos, attempt in enumerate(chain):
         try:
@@ -288,7 +286,6 @@ def detect_natural_cuts(
     f: float = 10.0,
     C: int = 2,
     rng: np.random.Generator | None = None,
-    solver: str = "push_relabel",
     runtime: RuntimeConfig | None = None,
     budget: RunBudget | None = None,
     cut_cache: CutCache | None = None,
@@ -353,7 +350,7 @@ def detect_natural_cuts(
         _apply_cache_pressure(cut_cache, runtime, sweep, stats)
         if parallel is not None:
             _pooled_sweep(
-                g, U, alpha, f, rng, solver, runtime, budget,
+                g, U, alpha, f, rng, runtime, budget,
                 cut_cache, parallel, stats, marked, engine,
             )
             continue
@@ -362,7 +359,7 @@ def detect_natural_cuts(
         if cut_cache is not None:
             pending = []
             for prob in problems:
-                entry = cut_cache.get(eng.cache_key(prob, solver))
+                entry = cut_cache.get(eng.cache_key(prob))
                 if entry is None:
                     pending.append(prob)
                 else:
@@ -371,9 +368,7 @@ def detect_natural_cuts(
             stats.cache_misses += len(pending)
         else:
             pending = problems
-        solve = functools.partial(
-            _solve_one, solver=solver, fault_plan=runtime.fault_plan, engine=engine
-        )
+        solve = functools.partial(_solve_one, fault_plan=runtime.fault_plan, engine=engine)
         with profile_span("natural_cuts.solve"):
             results, report = resilient_map(solve, pending, runtime=runtime, budget=budget)
         stats.absorb(report)
@@ -383,7 +378,7 @@ def detect_natural_cuts(
             value, side, fallbacks = out
             account(prob, value, side, fallbacks)
             if cut_cache is not None:
-                cut_cache.put(eng.cache_key(prob, solver), value, side)
+                cut_cache.put(eng.cache_key(prob), value, side)
     if budget is not None and budget.expired():
         stats.deadline_expired = True
     cut_ids = np.flatnonzero(marked).astype(np.int64)
@@ -397,7 +392,6 @@ def _pooled_sweep(
     alpha: float,
     f: float,
     rng: np.random.Generator,
-    solver: str,
     runtime: RuntimeConfig,
     budget: RunBudget | None,
     cut_cache: CutCache | None,
@@ -436,7 +430,6 @@ def _pooled_sweep(
         U=U,
         alpha=alpha,
         f=f,
-        solver=solver,
         cache_entries=cut_cache.max_entries if cut_cache is not None else 0,
         fault_plan=runtime.fault_plan,
         engine=engine,

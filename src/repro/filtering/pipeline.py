@@ -162,7 +162,6 @@ def run_filtering(
                 f=config.f,
                 C=config.coverage,
                 rng=rng,
-                solver=config.flow_solver,
                 runtime=runtime,
                 budget=budget,
                 cut_cache=cut_cache,

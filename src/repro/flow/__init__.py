@@ -1,4 +1,4 @@
-"""Max-flow / minimum s-t cut substrate."""
+"""Max-flow / minimum s-t cut substrate, and FlowCutter's Pareto front (``pareto.py``)."""
 
 from .bfs_flow import dinic, edmonds_karp
 from .mincut import SOLVERS, MinCutResult, min_st_cut

@@ -14,8 +14,7 @@ when the min cut is not unique, ``push_relabel`` returns the
 **source-maximal** side (complement of the residual sink-reachable set)
 while the other backends return the **source-minimal** side (residual BFS
 from ``s``).  Each convention is deterministic, but masks differ across
-backends — which is why cut-engine cache keys are salted with the solver
-name (``repro.cutengine.base.CutEngine.cache_key``).
+backends.
 """
 
 from __future__ import annotations

@@ -63,7 +63,6 @@ def solve_center_batch(
     U: int,
     alpha: float,
     f: float,
-    solver: str,
     cache_entries: int = 0,
     fault_plan: Optional[FaultPlan] = None,
     engine: str = "push_relabel",
@@ -106,14 +105,14 @@ def solve_center_batch(
         if prob is None:
             results.append(None)
             continue
-        entry = cache.get(eng.cache_key(prob, solver)) if cache is not None else None
+        entry = cache.get(eng.cache_key(prob)) if cache is not None else None
         if entry is not None:
             value, side, fallbacks = entry[0], entry[1], 0
         else:
             with profile_span("natural_cuts.solve.worker"):
-                value, side, fallbacks = _solve_one(prob, solver, fault_plan, engine)
+                value, side, fallbacks = _solve_one(prob, fault_plan, engine)
             if cache is not None:
-                cache.put(eng.cache_key(prob, solver), value, side)
+                cache.put(eng.cache_key(prob), value, side)
         edge_ids = np.asarray(prob.cut_edges_of_side(side), dtype=np.int64)
         results.append((center, float(value), edge_ids, int(fallbacks)))
 

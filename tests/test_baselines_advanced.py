@@ -59,6 +59,32 @@ class TestFlowCutter:
         mask, cut = flowcutter_bisect(g, rng=np.random.default_rng(5))
         assert 0 < mask.sum() < g.n
 
+    def test_balance_goal_met_in_vertex_size(self):
+        # a quarter of the vertices carry size 10, the rest size 1, so a
+        # split balanced by vertex count is far from one balanced by size
+        base = random_connected_graph(80, 60, seed=7)
+        rng = np.random.default_rng(7)
+        sizes = np.where(np.arange(base.n) < base.n // 4, 10, 1)
+        g = make_graph(
+            base.n,
+            list(zip(base.edge_u.tolist(), base.edge_v.tolist())),
+            weights=rng.integers(1, 6, size=base.m).astype(np.float64),
+            sizes=sizes,
+        )
+        for seed in range(6):
+            mask, cut = flowcutter_bisect(g, balance_goal=0.3, rng=np.random.default_rng(seed))
+            light = min(g.vsize[mask].sum(), g.vsize[~mask].sum())
+            assert light >= 0.3 * g.vsize.sum()
+            assert cut == pytest.approx(cut_weight(g, mask.astype(np.int64)))
+
+    def test_same_seed_replays(self):
+        g = random_connected_graph(120, 90, seed=3)
+        first = flowcutter_bisect(g, rng=np.random.default_rng(11))
+        again = flowcutter_bisect(g, rng=np.random.default_rng(11))
+        assert np.array_equal(first[0], again[0]) and first[1] == again[1]
+        labels = flowcutter_partition(g, 6, rng=np.random.default_rng(11))
+        assert np.array_equal(labels, flowcutter_partition(g, 6, rng=np.random.default_rng(11)))
+
 
 class TestSpectral:
     def test_fiedler_separates_barbell(self):

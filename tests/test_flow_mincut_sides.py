@@ -12,10 +12,7 @@ By the min-cut lattice property the source-minimal side is contained in
 every min-cut source side, which is contained in the source-maximal side.
 These conventions are deterministic per solver (this is the tie-breaking
 order the suite pins), but they differ *across* solvers whenever the min
-cut is not unique — which is exactly why
-:meth:`repro.cutengine.base.CutEngine.cache_key` salts the cache key with
-the solver name: a cached side mask is only valid for the backend that
-produced it.
+cut is not unique.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import pytest
 from repro import PunchConfig, run_punch
 from repro.core.config import FilterConfig
 from repro.cutengine import get_engine
+from repro.filtering.cut_problem import CutProblem
 from repro.filtering.natural_cuts import collect_cut_problems
 from repro.synthetic import grid_with_walls, road_network
 
@@ -89,7 +90,7 @@ class TestDifferentialFlowCutterVsPushRelabel:
                     crossing_capacity(prob, p.side), rel=1e-12
                 )
                 assert p.source_size == int(p.side.sum())
-                assert p.n == prob.n_local
+                assert p.total_size == prob.n_local
 
     def test_front_monotone_in_balance(self, pool):
         # Pareto property: along the balance axis, capacity strictly
@@ -127,6 +128,25 @@ class TestDifferentialFlowCutterVsPushRelabel:
             for p, q in zip(front, again):
                 assert p.value == q.value
                 assert np.array_equal(p.side, q.side)
+
+
+class TestPiercing:
+    def test_lighter_sink_side_is_pierced(self):
+        # path s=0 -5- 2 -5- 3 -5- 4 -2- 5 -1- 6 -5- 7 -5- t=1: the min cut
+        # (edge 5-6) leaves 3 vertices on the sink side and 5 on the source
+        # side, so the sink side is the one to pierce.  Pulling vertex 5
+        # into the sink set moves the cut to edge 4-5: capacity 2, an even
+        # 4 | 4 split.  Piercing the source side instead jumps straight to
+        # capacity 5, past the cost limit, and the front stays one point.
+        u = np.array([0, 2, 3, 4, 5, 6, 7])
+        v = np.array([2, 3, 4, 5, 6, 7, 1])
+        cap = np.array([5.0, 5.0, 5.0, 2.0, 1.0, 5.0, 5.0])
+        prob = CutProblem(8, u, v, cap, np.arange(7), u, v)
+        front = get_engine("flowcutter").enumerate_front(prob)
+        assert [p.value for p in front] == [1.0, 2.0]
+        assert np.flatnonzero(front[0].side).tolist() == [0, 2, 3, 4, 5]
+        assert np.flatnonzero(front[1].side).tolist() == [0, 2, 3, 4]
+        assert front[1].balance == 0.5
 
 
 E2E_CASES = [
