@@ -7,8 +7,8 @@ Standalone script (not a pytest bench):
     python benchmarks/bench_scaling.py --quick     # CI smoke (small instance)
     REPRO_BENCH_QUICK=1 python benchmarks/bench_scaling.py   # same as --quick
 
-Times natural-cut detection and the end-to-end multistart run with the
-legacy sequential path against the shared-memory worker pool at several
+Times natural-cut detection and the end-to-end multistart run without a
+worker pool (every task inline) against the shared-memory pool at several
 worker counts, and writes ``BENCH_scaling.json`` at the repo root (schema
 ``bench_scaling/v1``; documented in ``docs/PERFORMANCE.md``).
 
@@ -104,9 +104,7 @@ def bench_end_to_end(g, worker_counts, repeats):
         res = run_punch(g, U, cfg)
         return res.partition.labels, res.cost
 
-    t_serial, (labels0, cost0) = timed(
-        lambda: run(ParallelConfig(backend="serial")), repeats
-    )
+    t_serial, (labels0, cost0) = timed(lambda: run(None), repeats)
     print(f"  end-to-end serial               {t_serial * 1e3:9.1f} ms (baseline)")
     runs = {"serial": {"time_s": t_serial, "speedup": 1.0, "cost": float(cost0)}}
 

@@ -11,19 +11,30 @@ the paper's recipe:
 3. rebalance each solution 50 times with ``phi = 128``;
 4. return the best balanced solution found.
 
+Step 2 follows the schedule of :mod:`repro.assembly.multistart`: one start
+seed and one rebalance seed per start are derived from the caller's RNG
+before any start runs, and the starts run as one wave of
+:func:`~repro.assembly.multistart._one_start` tasks — on the run's
+:class:`~repro.parallel.pool.ParallelRuntime`, or inline with
+``parallel=None``.  Each solution is then rebalanced in start order with
+its own generator, so the outcome is the same with and without a worker
+pool.  A single start draws from the caller's RNG, inline, for both steps.
+
 Resilience (``docs/RESILIENCE.md``): every (start, rebalance) step only
 ever *adds* a candidate balanced solution, so the loop is anytime — once a
 feasible solution exists, an expired :class:`~repro.runtime.budget.RunBudget`
-stops the search and returns the best so far.  With
-``config.runtime.checkpoint_path`` set, progress (loop indices, the current
-unbalanced solution, the best balanced labels, and the RNG state) is
-periodically serialized so a killed run can resume via
-``config.runtime.resume``; a resumed run can only improve on the cost it
-had at kill time.
+stops the search and returns the best so far.  Starts lost to faults or to
+the deadline are reported in ``run_report()``.  With
+``config.runtime.checkpoint_path`` set, progress (the start schedule, loop
+indices, the current unbalanced solution and its rebalance generator, and
+the best balanced labels) is saved every ``checkpoint_every`` rebalance
+attempts and after each start, so a killed run resumed via
+``config.runtime.resume`` ends with the uninterrupted run's labels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import replace
@@ -31,19 +42,20 @@ from typing import Optional
 
 import numpy as np
 
-from ..assembly.cells import PartitionState
-from ..assembly.greedy import greedy_labels_for_graph
-from ..assembly.local_search import local_search
+from ..assembly.multistart import MultistartStats, _one_start, derive_seeds
 from ..core.config import BalancedConfig
 from ..core.partition import Partition
 from ..core.result import BalancedResult
 from ..filtering.pipeline import run_filtering
 from ..graph.graph import Graph
 from ..lint.sanitizer import get_sanitizer
+from ..parallel.pool import ExecutionReport, ParallelRuntime, resilient_map, serial_supervision
+from ..parallel.tasks import run_start_task
 from ..perf.timers import profile_span
 from ..runtime.budget import RunBudget
 from ..runtime.checkpoint import (
     CheckpointError,
+    check_resume,
     load_checkpoint_safe,
     rng_state_checksum,
     save_checkpoint,
@@ -85,8 +97,6 @@ def run_balanced_punch(
     if U_star < int(g.vsize.max(initial=1)):
         raise ValueError("U* smaller than the largest vertex size; infeasible")
 
-    from ..parallel.pool import ParallelRuntime, serial_supervision
-
     parallel = None
     supervision: dict = {}
     if config.parallel is not None:
@@ -120,36 +130,6 @@ def run_balanced_punch(
             parallel.close()
 
 
-def _checkpoint_state(
-    frag: Graph,
-    k: int,
-    U_star: int,
-    start: int,
-    reb: int,
-    start_labels,
-    rng: np.random.Generator,
-    best_labels,
-    best_cost: float,
-    attempts: int,
-    failures: int,
-    unbalanced_costs,
-    entry_rng_crc=None,
-) -> dict:
-    return {
-        "start": int(start),
-        "rebalance": int(reb),
-        "entry_rng_crc": entry_rng_crc,
-        "start_labels": None if start_labels is None else np.asarray(start_labels).copy(),
-        "rng_state": rng.bit_generator.state,
-        "best_labels": None if best_labels is None else np.asarray(best_labels).copy(),
-        "best_cost": float(best_cost),
-        "attempts": int(attempts),
-        "failures": int(failures),
-        "unbalanced_costs": list(unbalanced_costs),
-        "problem": {"n": int(frag.n), "m": int(frag.m), "k": int(k), "U_star": int(U_star)},
-    }
-
-
 def balanced_from_fragments(
     g: Graph,
     frag: Graph,
@@ -166,72 +146,57 @@ def balanced_from_fragments(
     """Steps 2-4 of the balanced recipe, given an existing fragment graph.
 
     Exposed separately so experiments can amortize one filtering run over
-    several randomized assembly+rebalance runs.  See the module docstring
+    several randomized assembly+rebalance runs.  ``parallel`` (a
+    :class:`~repro.parallel.pool.ParallelRuntime`) only decides where the
+    unbalanced starts run; see the module docstring for the schedule and
     for deadline and checkpoint/resume semantics.
-
-    ``parallel`` (a :class:`~repro.parallel.pool.ParallelRuntime`) runs the
-    independent unbalanced starts on the shared worker pool with seeds
-    derived up front from the parent RNG; each start is then rebalanced
-    sequentially with its own derived generator, so the outcome is
-    executor-independent.  Parallel starts are skipped when checkpointing
-    is enabled — the sequential loop owns the mid-start resume format.
     """
     t_start = time.perf_counter() if t_start is None else t_start
     runtime = config.runtime
     n_starts = max(1, math.ceil(config.numerator / k))
     asm_cfg = replace(config.assembly, phi=config.phi_unbalanced)
+    # RNG stream fingerprint at loop entry: pure function of the run's seed
+    # configuration, used to reject resumes under a different seed config
+    entry_crc = rng_state_checksum(rng.bit_generator.state)
+    # the schedule is fixed before any start runs; a single start keeps
+    # drawing from the caller's RNG
+    start_seeds = derive_seeds(rng, n_starts) if n_starts > 1 else []
+    rebal_seeds = derive_seeds(rng, n_starts) if n_starts > 1 else []
 
-    if parallel is not None and runtime.checkpoint_path is None and n_starts > 1:
-        return _balanced_parallel(
-            g, frag, frag_map, k, U_star, config, rng, t_start, budget,
-            filter_report, parallel, n_starts, asm_cfg,
-        )
+    def rebalance_rng(si: int) -> np.random.Generator:
+        return rng if n_starts == 1 else np.random.default_rng(rebal_seeds[si])
 
     best_labels = None
     best_cost = float("inf")
     attempts = 0
     failures = 0
-    unbalanced_costs = []
+    unbalanced_costs: list = []
     deadline_expired = False
     checkpoints_written = 0
     resumed_at = -1
     checkpoint_recovery: dict = {}
-    # RNG stream fingerprint at loop entry: pure function of the run's seed
-    # configuration, used to reject resumes under a different seed config
-    entry_crc = rng_state_checksum(rng.bit_generator.state)
+    starts_report = ExecutionReport()
 
     start0 = 0
     reb0 = 0
-    resumed_labels = None
+    resumed_labels = resumed_rng_state = None
+    problem = {"n": int(frag.n), "m": int(frag.m), "k": int(k), "U_star": int(U_star)}
     ckpt = runtime.checkpoint_path
     if ckpt and runtime.resume:
         state, checkpoint_recovery = load_checkpoint_safe(
             ckpt, CHECKPOINT_KIND, rng=rng, generations=runtime.checkpoint_generations
         )
         if state is not None:
-            fp = state.get("problem", {})
-            if (
-                fp.get("n") != frag.n
-                or fp.get("m") != frag.m
-                or fp.get("k") != k
-                or fp.get("U_star") != U_star
-            ):
+            if state.get("problem") != problem:
                 raise CheckpointError(
                     "checkpoint does not match this problem "
-                    f"(expected n={frag.n} m={frag.m} k={k} U*={U_star}, got {fp})"
+                    f"(expected {problem}, got {state.get('problem')})"
                 )
-            stored_crc = state.get("entry_rng_crc")
-            if stored_crc is not None and stored_crc != entry_crc:
-                raise CheckpointError(
-                    "checkpoint was written by a run with a different seed "
-                    "configuration (RNG entry-state checksum mismatch); resuming "
-                    "would silently diverge from both runs — pass the original "
-                    "seed or start fresh"
-                )
+            check_resume(state, entry_crc, n_starts, start_seeds)
             start0 = state["start"]
             reb0 = state["rebalance"]
             resumed_labels = state["start_labels"]
-            rng.bit_generator.state = state["rng_state"]
+            resumed_rng_state = state["rng_state"]
             best_labels = state["best_labels"]
             best_cost = state["best_cost"]
             attempts = state["attempts"]
@@ -239,20 +204,67 @@ def balanced_from_fragments(
             unbalanced_costs = state["unbalanced_costs"]
             resumed_at = start0
 
-    def save(start, reb, start_labels):
+    def save(start: int, reb: int, start_labels, reb_rng: np.random.Generator) -> None:
+        nonlocal checkpoints_written
+        if not ckpt:
+            return
+        state = {
+            "start": int(start),
+            "rebalance": int(reb),
+            "starts": n_starts,
+            "start_seeds": list(start_seeds),
+            "entry_rng_crc": entry_crc,
+            "start_labels": None if start_labels is None else np.asarray(start_labels).copy(),
+            "rng_state": reb_rng.bit_generator.state,
+            "best_labels": None if best_labels is None else np.asarray(best_labels).copy(),
+            "best_cost": float(best_cost),
+            "attempts": int(attempts),
+            "failures": int(failures),
+            "unbalanced_costs": list(unbalanced_costs),
+            "problem": problem,
+        }
         save_checkpoint(
             ckpt,
             CHECKPOINT_KIND,
-            _checkpoint_state(
-                frag, k, U_star, start, reb, start_labels, rng,
-                best_labels, best_cost, attempts, failures, unbalanced_costs,
-                entry_rng_crc=entry_crc,
-            ),
+            state,
             generations=runtime.checkpoint_generations,
             fault_plan=runtime.fault_plan,
             key=start * (config.rebalance_attempts + 1) + reb,
         )
+        checkpoints_written += 1
 
+    # step 2: the unbalanced starts not yet rebalanced (a mid-start resume
+    # brings its start's labels along)
+    first = start0 + (resumed_labels is not None)
+    starts: dict = {}  # start index -> (labels, cost)
+    with profile_span("balanced.unbalanced_starts"):
+        if n_starts == 1 and first == 0:
+            sol = _one_start(frag, U_star, asm_cfg, rng, MultistartStats())
+            starts[0] = (sol.labels, sol.cost)
+        elif first < n_starts:
+            task = functools.partial(
+                run_start_task,
+                handle=frag if parallel is None else parallel.share(frag),
+                U=U_star,
+                cfg=asm_cfg,
+            )
+            results, report = resilient_map(
+                task, start_seeds[first:], parallel=parallel, runtime=runtime, budget=budget
+            )
+            starts_report.absorb(report)
+            for si, out in enumerate(results, first):
+                if out is not None:
+                    if parallel is not None:
+                        parallel.note_batch(out[2])
+                    starts[si] = out[:2]
+            if not starts and resumed_labels is None and best_labels is None:
+                # every start was lost; run the first one inline so the
+                # driver keeps its "at least one attempt" guarantee
+                seed_rng = np.random.default_rng(start_seeds[first])
+                sol = _one_start(frag, U_star, asm_cfg, seed_rng, MultistartStats())
+                starts[first] = (sol.labels, sol.cost)
+
+    # steps 3-4: rebalance each solution in start order
     for si in range(start0, n_starts):
         # the deadline is honored only once a feasible solution exists, so
         # an expired budget still yields a valid (if unpolished) result
@@ -263,32 +275,17 @@ def balanced_from_fragments(
         ):
             deadline_expired = True
             break
-
+        reb_rng = rebalance_rng(si)
         if si == start0 and resumed_labels is not None:
-            # mid-start resume: the unbalanced solution was checkpointed
-            state = PartitionState(frag, resumed_labels)
-            ri0 = reb0
-        else:
-            with profile_span("balanced.unbalanced_start"):
-                labels = greedy_labels_for_graph(
-                    frag, U_star, rng, asm_cfg.score_a, asm_cfg.score_b
-                )
-                state = PartitionState(frag, labels)
-                local_search(
-                    state,
-                    U_star,
-                    variant=asm_cfg.local_search,
-                    phi_max=asm_cfg.phi,
-                    rng=rng,
-                    score_a=asm_cfg.score_a,
-                    score_b=asm_cfg.score_b,
-                )
-            unbalanced_costs.append(state.cost)
+            labels, ri0 = resumed_labels, reb0
+            reb_rng.bit_generator.state = resumed_rng_state
+        elif si in starts:
+            labels, cost = starts[si]
             ri0 = 0
-            if ckpt:
-                save(si, 0, state.labels)
-                checkpoints_written += 1
-
+            unbalanced_costs.append(float(cost))
+        else:
+            continue  # a lost start (counted in the dispatch report)
+        cells = len(np.unique(labels))
         for ri in range(ri0, config.rebalance_attempts):
             if (
                 best_labels is not None
@@ -296,17 +293,18 @@ def balanced_from_fragments(
                 and budget.checkpoint("balanced_rebalance")
             ):
                 deadline_expired = True
+                save(si, ri, labels, reb_rng)
                 break
             attempts += 1
             with profile_span("balanced.rebalance"):
                 out = rebalance(
                     frag,
-                    state.labels,
+                    labels,
                     k,
                     U_star,
                     config.assembly,
                     config.phi_rebalance,
-                    rng,
+                    reb_rng,
                 )
             if out.success:
                 if out.cost < best_cost:
@@ -314,16 +312,13 @@ def balanced_from_fragments(
                     best_labels = out.labels.copy()
             else:
                 failures += 1
-            if ckpt and (ri + 1) % runtime.checkpoint_every == 0:
-                save(si, ri + 1, state.labels)
-                checkpoints_written += 1
-            if out.success and out.rounds == 0 and state.num_cells() <= k:
+            if (ri + 1) % runtime.checkpoint_every == 0:
+                save(si, ri + 1, labels, reb_rng)
+            if out.success and out.rounds == 0 and cells <= k:
                 break  # already balanced; rebalancing is deterministic here
         if deadline_expired:
             break
-        if ckpt:
-            save(si + 1, 0, None)
-            checkpoints_written += 1
+        save(si + 1, 0, None, reb_rng)
 
     if best_labels is None:
         hint = "try a larger epsilon or a smaller filter_divisor"
@@ -354,152 +349,8 @@ def balanced_from_fragments(
         resumed_at=resumed_at,
         checkpoints_written=checkpoints_written,
         checkpoint_recovery=checkpoint_recovery,
+        assembly_report=starts_report.incidents(),
         filter_report=dict(filter_report or {}),
         parallel_report=parallel.report() if parallel is not None else {},
         supervisor_report=parallel.supervisor_report() if parallel is not None else {},
-    )
-
-
-def _balanced_parallel(
-    g: Graph,
-    frag: Graph,
-    frag_map: np.ndarray,
-    k: int,
-    U_star: int,
-    config: BalancedConfig,
-    rng: np.random.Generator,
-    t_start: float,
-    budget: RunBudget | None,
-    filter_report: Optional[dict],
-    parallel,
-    n_starts: int,
-    asm_cfg,
-) -> BalancedResult:
-    """Steps 2-4 with the unbalanced starts on the worker pool.
-
-    All start and rebalance seeds are derived from the parent RNG before
-    dispatch; the starts run as one wave against the shared fragment graph
-    and each surviving solution is rebalanced sequentially with its own
-    generator.  Skipped starts (faults, deadline) lose only their start.
-    """
-    import functools
-
-    from ..parallel.pool import resilient_map
-    from ..parallel.tasks import unbalanced_start_task
-
-    start_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_starts)]
-    rebal_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_starts)]
-    handle = parallel.share(frag)
-    task = functools.partial(
-        unbalanced_start_task, handle=handle, U_star=U_star, cfg=asm_cfg
-    )
-    with profile_span("balanced.unbalanced_starts"):
-        results, _report = resilient_map(
-            task, start_seeds, parallel=parallel, runtime=config.runtime, budget=budget
-        )
-
-    solutions = []
-    for si, out in enumerate(results):
-        if out is None:
-            continue
-        labels, cost, wstats = out
-        parallel.note_batch(wstats)
-        solutions.append((si, labels, float(cost)))
-    if not solutions:
-        # every start was skipped; run the first scheduled start inline so
-        # the driver keeps its "at least one attempt" guarantee
-        rng0 = np.random.default_rng(start_seeds[0])
-        with profile_span("balanced.unbalanced_start"):
-            labels = greedy_labels_for_graph(
-                frag, U_star, rng0, asm_cfg.score_a, asm_cfg.score_b
-            )
-            state = PartitionState(frag, labels)
-            local_search(
-                state,
-                U_star,
-                variant=asm_cfg.local_search,
-                phi_max=asm_cfg.phi,
-                rng=rng0,
-                score_a=asm_cfg.score_a,
-                score_b=asm_cfg.score_b,
-            )
-        solutions = [(0, state.labels, float(state.cost))]
-
-    best_labels = None
-    best_cost = float("inf")
-    attempts = 0
-    failures = 0
-    unbalanced_costs = []
-    deadline_expired = False
-
-    for si, labels, cost in solutions:
-        if (
-            best_labels is not None
-            and budget is not None
-            and budget.checkpoint("balanced_start")
-        ):
-            deadline_expired = True
-            break
-        unbalanced_costs.append(cost)
-        state = PartitionState(frag, labels)
-        rng_i = np.random.default_rng(rebal_seeds[si])
-        for _ri in range(config.rebalance_attempts):
-            if (
-                best_labels is not None
-                and budget is not None
-                and budget.checkpoint("balanced_rebalance")
-            ):
-                deadline_expired = True
-                break
-            attempts += 1
-            with profile_span("balanced.rebalance"):
-                out = rebalance(
-                    frag,
-                    state.labels,
-                    k,
-                    U_star,
-                    config.assembly,
-                    config.phi_rebalance,
-                    rng_i,
-                )
-            if out.success:
-                if out.cost < best_cost:
-                    best_cost = out.cost
-                    best_labels = out.labels.copy()
-            else:
-                failures += 1
-            if out.success and out.rounds == 0 and state.num_cells() <= k:
-                break  # already balanced; rebalancing is deterministic here
-        if deadline_expired:
-            break
-
-    if best_labels is None:
-        hint = "try a larger epsilon or a smaller filter_divisor"
-        if budget is not None and budget.expired():
-            hint = (
-                "the run budget expired before any solution could be "
-                "rebalanced; increase the time budget"
-            )
-        raise RuntimeError(f"balanced PUNCH failed to rebalance any solution; {hint}")
-
-    partition = Partition(g, best_labels[frag_map])
-    # same invariants as the sequential loop: pooled starts must not change
-    # what a valid balanced solution looks like
-    get_sanitizer().check_partition(
-        "balanced.parallel", g, partition.labels, U=U_star,
-        expected_cost=best_cost, require_connected=False,
-    )
-    return BalancedResult(
-        partition=partition,
-        k=k,
-        epsilon=config.epsilon,
-        U_star=U_star,
-        time_total=time.perf_counter() - t_start,
-        attempts=attempts,
-        failed_rebalances=failures,
-        unbalanced_costs=unbalanced_costs,
-        deadline_expired=deadline_expired,
-        filter_report=dict(filter_report or {}),
-        parallel_report=parallel.report(),
-        supervisor_report=parallel.supervisor_report(),
     )

@@ -36,8 +36,11 @@ def fiedler_vector(g: Graph) -> np.ndarray:
         vals, vecs = np.linalg.eigh(L.toarray())
         return vecs[:, 1]
     # shift-invert around 0 is fragile on disconnected graphs; plain
-    # smallest-magnitude with a small regularizer is robust enough here
-    vals, vecs = eigsh(L + 1e-9 * diags(np.ones(g.n)), k=2, which="SM")
+    # smallest-magnitude with a small regularizer is robust enough here.
+    # ARPACK starts from a random vector unless given one, which made the
+    # split (and the cut) change from run to run: start from a fixed one
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, g.n)
+    vals, vecs = eigsh(L + 1e-9 * diags(np.ones(g.n)), k=2, which="SM", v0=v0)
     order = np.argsort(vals)
     return vecs[:, order[1]]
 

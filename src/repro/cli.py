@@ -110,10 +110,10 @@ def _add_runtime_flags(sp) -> None:
     )
     sp.add_argument(
         "--executor",
-        choices=("serial", "threads", "processes"),
+        choices=("threads", "processes"),
         default=None,
-        help="worker-pool backend; the partition is bit-identical across all "
-        "three (omit the flag entirely for the legacy sequential loop; see "
+        help="run the work on a worker pool of this kind (default: inline); "
+        "the partition is bit-identical with and without one (see "
         "docs/PERFORMANCE.md)",
     )
     sp.add_argument(
@@ -143,9 +143,8 @@ def _filter_from_args(args) -> FilterConfig:
 def _parallel_from_args(args):
     """Build the worker-pool config from the shared CLI flags.
 
-    No ``--executor`` flag means the legacy sequential drivers (``None``).
-    An explicit ``--executor serial`` runs the parallel task structure
-    inline — same partition as threads/processes, no pool.
+    No ``--executor`` flag means no pool (``None``): every task runs
+    inline, with the same partition a pool would give.
     """
     if args.executor is None:
         return None
@@ -501,9 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", metavar="PATH", help="write the replay run report here")
     sp.add_argument(
         "--executor",
-        choices=("serial", "threads", "processes"),
+        choices=("threads", "processes"),
         default=None,
-        help="threads fans batches across a worker pool; serial/processes serve inline",
+        help="threads fans batches across a worker pool; processes (like the "
+        "default) serves inline",
     )
     sp.add_argument("--workers", type=int, default=None, metavar="N")
     sp.set_defaults(fn=cmd_replay)

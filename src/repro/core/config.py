@@ -33,20 +33,19 @@ class ParallelConfig:
     Setting ``parallel`` on a :class:`PunchConfig` / :class:`BalancedConfig`
     routes natural-cut detection, multistart assembly, and the balanced
     driver's unbalanced starts through the one persistent pool of a
-    :class:`~repro.parallel.pool.ParallelRuntime`.  The output is bit-identical
-    across backends (serial ≡ threads ≡ processes — see
-    ``docs/PERFORMANCE.md``); the backend only decides where the work runs.
-    ``backend="serial"`` runs the same task structure inline, which is what
-    makes the contract testable.
+    :class:`~repro.parallel.pool.ParallelRuntime`.  Without it the same
+    tasks run inline, and the output is bit-identical either way (no
+    runtime ≡ threads ≡ processes — see ``docs/PERFORMANCE.md``); the
+    backend only decides where the work runs.
     """
 
-    backend: str = "processes"  # "serial" | "threads" | "processes"
+    backend: str = "processes"  # "threads" | "processes"
     workers: Optional[int] = None  # None = os.cpu_count()
 
     def __post_init__(self) -> None:
-        if self.backend not in ("serial", "threads", "processes"):
+        if self.backend not in ("threads", "processes"):
             raise ValueError(
-                f"backend must be 'serial', 'threads' or 'processes', got {self.backend!r}"
+                f"backend must be 'threads' or 'processes', got {self.backend!r}"
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (or None for cpu_count)")
@@ -71,7 +70,7 @@ class RuntimeConfig:
     max_retries: int = 2  # extra attempts per failed subproblem
     backoff_base: float = 0.05  # first retry delay (seconds); 0 disables sleeps
     checkpoint_path: Optional[str] = None  # where multistart/balanced loops checkpoint
-    checkpoint_every: int = 4  # loop iterations between checkpoint writes
+    checkpoint_every: int = 4  # starts / rebalance attempts between checkpoint writes
     checkpoint_generations: int = 2  # rotated .bakN generations kept per checkpoint
     resume: bool = False  # continue from checkpoint_path if it exists
     fault_plan: Optional[FaultPlan] = None  # deterministic fault injection (tests)
@@ -178,7 +177,8 @@ class PunchConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
     assembly: AssemblyConfig = field(default_factory=AssemblyConfig)
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
-    # None = legacy single-process path; set to enable the worker pool
+    # None = every task runs inline; set to run them on a worker pool (same
+    # partition either way)
     parallel: Optional[ParallelConfig] = None
     seed: Optional[int] = None
 
@@ -201,7 +201,8 @@ class BalancedConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
     assembly: AssemblyConfig = field(default_factory=AssemblyConfig)
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
-    # None = legacy single-process path; set to enable the worker pool
+    # None = every task runs inline; set to run them on a worker pool (same
+    # partition either way)
     parallel: Optional[ParallelConfig] = None
     seed: Optional[int] = None
 

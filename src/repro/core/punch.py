@@ -156,8 +156,7 @@ def _run_per_component(
     labels = np.zeros(g.n, dtype=np.int64)
     offset = 0
     total = dict(time_tiny=0.0, time_natural=0.0, time_assembly=0.0)
-    last_filt = None
-    last_stats = None
+    parts = []
     for c in range(ncomp):
         members = np.flatnonzero(comp == c)
         if len(members) == 1:
@@ -173,19 +172,19 @@ def _run_per_component(
         total["time_tiny"] += res.time_tiny
         total["time_natural"] += res.time_natural
         total["time_assembly"] += res.time_assembly
-        last_filt = res.filter_result
-        last_stats = res.assembly_stats
+        parts.append(res)
     partition = Partition(g, labels)
-    assert last_filt is not None, "empty graph has no components to partition"
+    assert parts, "a graph of isolated vertices has no component to partition"
     # per-component sub-runs already checked cost accounting; the merged
     # labeling still has to respect the bound and keep cells connected
     get_sanitizer().check_partition("punch.components", g, partition.labels, U=U)
     return PunchResult(
         partition=partition,
         U=U,
-        filter_result=last_filt,
-        assembly_stats=last_stats,
+        filter_result=parts[-1].filter_result,
+        assembly_stats=parts[-1].assembly_stats,
         parallel_report=parallel.report() if parallel is not None else {},
         supervisor_report=parallel.supervisor_report() if parallel is not None else {},
+        components=parts,
         **total,
     )

@@ -27,6 +27,25 @@ def sanitizer_section(report: dict) -> dict:
     return report
 
 
+def _merge_assembly(report: dict, incidents: dict) -> None:
+    """Add assembly incidents; a key filtering also reports gets a prefix."""
+    for key, value in incidents.items():
+        report[f"assembly_{key}" if key in report else key] = value
+
+
+def _add_counts(total: dict, part: dict) -> None:
+    """Add one run report's counters into ``total`` (flags are OR-ed)."""
+    for key, value in part.items():
+        if isinstance(value, dict):
+            _add_counts(total.setdefault(key, {}), value)
+        elif isinstance(value, bool):
+            total[key] = total.get(key, False) or value
+        elif isinstance(value, (int, float)):
+            total[key] = total.get(key, 0) + value
+        else:
+            total[key] = value
+
+
 @dataclass
 class PunchResult:
     """Outcome of one unbalanced PUNCH run (paper Table 1 quantities)."""
@@ -39,11 +58,15 @@ class PunchResult:
     time_natural: float
     time_assembly: float
     # worker-pool telemetry (backend, merged per-worker cache counters, shared
-    # bytes, pool breaks); empty when the run was single-process
+    # bytes, pool breaks); empty when the run had no worker pool
     parallel_report: dict = field(default_factory=dict)
     # supervision telemetry (watchdog detections, restarts, reaped orphans);
     # empty when the run was unsupervised
     supervisor_report: dict = field(default_factory=dict)
+    # one result per multi-vertex component of a disconnected input (whose
+    # filter_result / assembly_stats are the last component's); the
+    # fragment count and run report cover them all
+    components: list = field(default_factory=list)
 
     @property
     def cost(self) -> float:
@@ -57,8 +80,12 @@ class PunchResult:
 
     @property
     def num_fragments(self) -> int:
-        """|V'| of the paper: vertices after filtering."""
-        return self.filter_result.fragment_graph.n
+        """|V'| of the paper: vertices after filtering (an isolated vertex
+        of a disconnected input is a fragment and a cell of its own)."""
+        if not self.components:
+            return self.filter_result.fragment_graph.n
+        isolated = self.num_cells - sum(c.num_cells for c in self.components)
+        return sum(c.num_fragments for c in self.components) + isolated
 
     @property
     def time_total(self) -> float:
@@ -75,12 +102,19 @@ class PunchResult:
 
         Keys follow docs/RESILIENCE.md: retries, timeouts, skipped,
         deadline_skipped, solver_fallbacks, executor_degradations,
-        deadline_expired, resumed_at, checkpoints_written.
+        deadline_expired, resumed_at, checkpoints_written.  On a
+        disconnected input the counters are summed over the components.
         """
-        report = self.filter_result.run_report()
-        if self.assembly_stats is not None:
-            for key, value in self.assembly_stats.incidents().items():
-                report[f"assembly_{key}" if key in report else key] = value
+        report: dict = {}
+        assembly: dict = {}
+        for part in self.components or [self]:
+            _add_counts(report, part.filter_result.run_report())
+            if part.assembly_stats is not None:
+                _add_counts(assembly, part.assembly_stats.incidents())
+        cache = report.get("cut_cache")
+        if cache:
+            cache["hit_rate"] = cache["hits"] / (cache["hits"] + cache["misses"])
+        _merge_assembly(report, assembly)
         if self.parallel_report:
             report["parallel"] = dict(self.parallel_report)
         if self.supervisor_report:
@@ -127,8 +161,10 @@ class BalancedResult:
     checkpoints_written: int = 0
     # non-empty when the resume degraded (older generation / fresh start)
     checkpoint_recovery: dict = field(default_factory=dict)
+    # dispatch incidents of the unbalanced starts (lost starts show here)
+    assembly_report: dict = field(default_factory=dict)
     filter_report: dict = field(default_factory=dict)
-    # worker-pool telemetry; empty when the run was single-process
+    # worker-pool telemetry; empty when the run had no worker pool
     parallel_report: dict = field(default_factory=dict)
     # supervision telemetry; empty when the run was unsupervised
     supervisor_report: dict = field(default_factory=dict)
@@ -147,6 +183,7 @@ class BalancedResult:
     def run_report(self) -> dict:
         """Resilience incidents of the whole run (empty dict = clean run)."""
         report = dict(self.filter_report)
+        _merge_assembly(report, self.assembly_report)
         if self.deadline_expired:
             report["deadline_expired"] = True
         if self.resumed_at >= 0:

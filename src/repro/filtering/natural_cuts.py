@@ -312,8 +312,8 @@ def detect_natural_cuts(
     (a :class:`~repro.parallel.pool.ParallelRuntime`) switches to the
     handle-based pool path: the sweep collects only centers, and
     LPT-scheduled center batches are solved against the shared-memory graph
-    on the run's persistent pool (with ``backend="serial"``, or once the
-    pool is retired, the same batches run inline).  The detected cut set is
+    on the run's persistent pool (once the pool is retired, the same
+    batches run inline).  The detected cut set is
     the union of per-region min cuts, which is independent of batching and
     completion order, so the result is bit-identical to the sequential path
     for the same ``rng``.
@@ -419,8 +419,6 @@ def _pooled_sweep(
         return
     handle = parallel.share(g)
     workers = parallel.workers or os.cpu_count() or 1
-    if parallel.backend == "serial":
-        workers = 1
     n_batches = max(1, workers * BATCHES_PER_WORKER)
     batches = lpt_batches([ring for _, ring in regions], n_batches)
     batch_centers = [[regions[i][0] for i in batch] for batch in batches]

@@ -26,7 +26,8 @@ the only place in the package that constructs an executor:
 
 Nothing here makes an algorithmic decision — the runtime only decides
 *where* work runs and *when* to give up on a pool — so the bit-identical
-determinism contract (serial ≡ threads ≡ processes) holds by construction.
+determinism contract (no runtime ≡ threads ≡ processes) holds by
+construction.
 """
 
 from __future__ import annotations
@@ -107,6 +108,12 @@ _DEGRADE_ERRORS = (BrokenExecutor, pickle.PicklingError)
 
 _MAX_ERROR_SAMPLES = 8
 
+#: the :class:`ExecutionReport` counters that :meth:`ExecutionReport.absorb` sums
+_COUNTERS = (
+    "items", "succeeded", "failures", "retries", "timeouts", "skipped",
+    "deadline_skipped", "executor_degradations",
+)
+
 # ---------------------------------------------------------------------------
 # Graph registry (driver process AND pool workers — each process has its own)
 # ---------------------------------------------------------------------------
@@ -131,14 +138,17 @@ def unregister_graph(token: str) -> None:
             att.close()
 
 
-def resolve_graph(handle: SharedGraphHandle) -> Graph:
+def resolve_graph(handle: SharedGraphHandle | Graph) -> Graph:
     """The graph behind a handle, wherever this code runs.
 
     In the driver (inline runs and thread pools) the token hits the
     registry entry made at export time — the original object, zero cost.
     In a pool worker the first resolution attaches the shared-memory view
-    and caches it, so attachment happens once per worker per graph.
+    and caches it, so attachment happens once per worker per graph.  A
+    run without a runtime passes the graph itself, which resolves to itself.
     """
+    if isinstance(handle, Graph):
+        return handle
     g = _GRAPHS.get(handle.token)
     if g is not None:
         return g
@@ -229,11 +239,9 @@ class ParallelRuntime:
     :func:`repro.balanced.driver.run_balanced_punch`) from the run's
     :class:`~repro.core.config.ParallelConfig` (where work runs) and
     :class:`~repro.core.config.RuntimeConfig` (how the pool is watched and
-    replaced), and threaded through every phase.  ``backend == "serial"``
-    is a fully valid degenerate runtime: no pool, no shared memory, tasks
-    run inline — which is what makes the serial/threads/processes
-    determinism contract testable, since all three run the *same* task
-    structure.
+    replaced), and threaded through every phase.  A run without a runtime
+    (``parallel=None``) dispatches the *same* tasks inline, which is what
+    makes the inline/threads/processes determinism contract testable.
 
     The pool is created on the first pooled map and reused until
     :meth:`close`.  :meth:`mark_broken` retires it (and stops a process
@@ -351,13 +359,13 @@ class ParallelRuntime:
     def executor(self) -> Optional[Executor]:
         """The run's pool, created lazily; ``None`` when work must run inline.
 
-        ``None`` for the serial backend, after :meth:`close`, and once the
-        pool is retired with no restart left.  A retired pool is replaced
-        here — one grant of the restart budget — by a fresh one that
-        attaches the current exports (a prior :meth:`share` re-exported
-        them, since the break released the old ones).
+        ``None`` after :meth:`close`, and once the pool is retired with no
+        restart left.  A retired pool is replaced here — one grant of the
+        restart budget — by a fresh one that attaches the current exports
+        (a prior :meth:`share` re-exported them, since the break released
+        the old ones).
         """
-        if self.backend == "serial" or self._closed or self._retired():
+        if self._closed or self._retired():
             return None
         if self._broken:
             self.pool_restarts += 1
@@ -489,11 +497,11 @@ class ParallelRuntime:
             get_profiler().merge(spans)
 
     def report(self) -> dict:
-        """``run_report()["parallel"]`` (empty when nothing parallel happened)."""
-        out: dict = {}
-        if self.backend != "serial":
-            out["backend"] = self.backend
-            out["workers"] = self.workers or os.cpu_count() or 1
+        """``run_report()["parallel"]``: backend and worker count, then counters."""
+        out: dict = {
+            "backend": self.backend,
+            "workers": self.workers or os.cpu_count() or 1,
+        }
         if self.batches_dispatched:
             out["batches"] = self.batches_dispatched
         if self.cache_hits or self.cache_misses:
@@ -580,7 +588,8 @@ def serial_supervision(runtime: RuntimeConfig) -> dict:
     """
     if not runtime.supervise:
         return {}
-    return ParallelRuntime(ParallelConfig(backend="serial"), runtime).supervisor_report()
+    # building a runtime reaps; its pool is made lazily, so none starts here
+    return ParallelRuntime(runtime=runtime).supervisor_report()
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +624,28 @@ class ExecutionReport:
         if len(self.error_samples) < _MAX_ERROR_SAMPLES:
             self.error_samples.append(f"{type(exc).__name__}: {exc}")
 
+    def incidents(self) -> dict:
+        """Non-zero resilience counters, for run reports."""
+        counters = {
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "skipped": self.skipped,
+            "deadline_skipped": self.deadline_skipped,
+            "executor_degradations": self.executor_degradations,
+        }
+        return {k: v for k, v in counters.items() if v}
+
     def any_incident(self) -> bool:
         """True when anything other than clean first-try successes happened."""
-        return bool(
-            self.failures
-            or self.retries
-            or self.timeouts
-            or self.skipped
-            or self.deadline_skipped
-            or self.executor_degradations
-        )
+        return bool(self.failures or self.incidents())
+
+    def absorb(self, other: "ExecutionReport") -> None:
+        """Add another map's accounting to this one (a run-level total)."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.final_executor = other.final_executor
+        room = max(0, _MAX_ERROR_SAMPLES - len(self.error_samples))
+        self.error_samples.extend(other.error_samples[:room])
 
 
 def _is_degrade_error(exc: BaseException) -> bool:
@@ -684,7 +705,7 @@ def resilient_map(
     Never raises for per-item failures.
 
     Work runs on ``parallel``'s pool, or inline when there is none (no
-    runtime, the serial backend, or a pool retired with no restart left).
+    runtime, or a pool retired with no restart left).
     When the pool breaks mid-map it is retired — its exports released, its
     workers stopped — and the unfinished items run inline, resolving graphs
     through the in-process registry.

@@ -2,7 +2,8 @@
 
 Every function here is module-level (process pools pickle by qualified
 name) and receives the graph as a :class:`~.shared_graph.SharedGraphHandle`
-via ``functools.partial`` — a task payload is only small primitives:
+via ``functools.partial`` (or as the graph itself when a run without a
+runtime dispatches inline) — a task payload is only small primitives:
 center ids, derived seeds, or label arrays of the (already contracted)
 fragment graph.  The CSR arrays never travel; workers resolve the handle
 through :func:`~.pool.resolve_graph`, which attaches the shared-memory
@@ -13,9 +14,9 @@ worker-local telemetry deltas — per-worker :class:`CutCache` hit/miss
 counts and :class:`PhaseProfiler` span deltas — that the driver merges
 back into the parent run report via
 :meth:`~.pool.ParallelRuntime.note_batch`.  Span deltas are only reported
-from real pool workers (``in_worker()``); under the threads and serial
-tiers the work already runs in the driver process, where the global
-profiler records it directly, and reporting deltas would double-count.
+from real pool workers (``in_worker()``); on threads and inline the work
+already runs in the driver process, where the global profiler records it
+directly, and reporting deltas would double-count.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graph.graph import Graph
 from ..graph.traversal import BFSWorkspace, grow_bfs_region
 from ..perf.timers import get_profiler, profile_span, span_delta
 from ..runtime.faults import FaultPlan
@@ -35,7 +37,6 @@ __all__ = [
     "solve_center_batch",
     "run_start_task",
     "combine_iteration_task",
-    "unbalanced_start_task",
 ]
 
 
@@ -126,15 +127,16 @@ def solve_center_batch(
 def run_start_task(
     seed: int,
     *,
-    handle: SharedGraphHandle,
+    handle: SharedGraphHandle | Graph,
     U: int,
     cfg,
 ) -> Tuple[np.ndarray, float, dict]:
-    """One independent multistart iteration (greedy + local search).
+    """One independent start (greedy + local search) of either driver.
 
     ``seed`` is derived by the parent from its own RNG, so the set of
     starts is fixed before any dispatch and the outcome is independent of
-    the executor.  Returns ``(labels, cost, stats)``.
+    the executor.  Multistart runs it at ``U``, the balanced driver at
+    ``U*`` with its unbalanced ``phi``.  Returns ``(labels, cost, stats)``.
     """
     from ..assembly.multistart import MultistartStats, _one_start
 
@@ -150,7 +152,7 @@ def run_start_task(
 def combine_iteration_task(
     item: tuple,
     *,
-    handle: SharedGraphHandle,
+    handle: SharedGraphHandle | Graph,
     U: int,
     cfg,
 ) -> Tuple[tuple, tuple, tuple, dict]:
@@ -184,37 +186,3 @@ def combine_iteration_task(
         (np.asarray(p_second.labels), float(p_second.cost)),
         tstats.finish(),
     )
-
-
-def unbalanced_start_task(
-    seed: int,
-    *,
-    handle: SharedGraphHandle,
-    U_star: int,
-    cfg,
-) -> Tuple[np.ndarray, float, dict]:
-    """One unbalanced start of the balanced driver (greedy + LS at phi=512).
-
-    Returns ``(labels, cost, stats)``; the parent rebalances sequentially
-    with its own derived RNG per start.
-    """
-    from ..assembly.cells import PartitionState
-    from ..assembly.greedy import greedy_labels_for_graph
-    from ..assembly.local_search import local_search
-
-    g = resolve_graph(handle)
-    tstats = _TaskStats()
-    rng = np.random.default_rng(seed)
-    with profile_span("balanced.unbalanced_start"):
-        labels = greedy_labels_for_graph(g, U_star, rng, cfg.score_a, cfg.score_b)
-        state = PartitionState(g, labels)
-        local_search(
-            state,
-            U_star,
-            variant=cfg.local_search,
-            phi_max=cfg.phi,
-            rng=rng,
-            score_a=cfg.score_a,
-            score_b=cfg.score_b,
-        )
-    return np.asarray(state.labels), float(state.cost), tstats.finish()

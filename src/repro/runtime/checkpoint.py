@@ -48,6 +48,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_checkpoint_safe",
+    "check_resume",
     "rng_state_checksum",
     "CHECKPOINT_VERSION",
 ]
@@ -69,6 +70,36 @@ def rng_state_checksum(bit_generator_state: dict) -> int:
     pure function of the run's seed configuration.
     """
     return zlib.crc32(pickle.dumps(bit_generator_state, protocol=4)) & 0xFFFFFFFF
+
+
+def check_resume(state: dict, entry_rng_crc: int, starts: int, seeds: List[int]) -> None:
+    """Reject a checkpoint of another seed configuration or start schedule.
+
+    Both drivers fingerprint the RNG stream at loop entry and derive one
+    seed per start before any start runs (none for a single start, which
+    draws from the caller's RNG).  A checkpoint carries both, and resuming
+    under a different seed or start count would silently diverge from both
+    runs, so either mismatch raises :class:`CheckpointError`.
+    """
+    stored_crc = state.get("entry_rng_crc")
+    if stored_crc is not None and stored_crc != entry_rng_crc:
+        raise CheckpointError(
+            "checkpoint was written by a run with a different seed configuration "
+            "(RNG entry-state checksum mismatch); resuming would silently diverge "
+            "from both runs — pass the original seed or start fresh"
+        )
+    if "start_seeds" not in state:
+        raise CheckpointError(
+            "checkpoint has no start schedule (it was written by a sequential "
+            "loop this version no longer has); start fresh"
+        )
+    stored = state.get("starts", len(state["start_seeds"]))
+    if stored != starts or [int(s) for s in state["start_seeds"]] != seeds:
+        raise CheckpointError(
+            f"checkpoint was written for {stored} starts, this run schedules "
+            f"{starts}; resuming would replay another start schedule — pass the "
+            "original start count or start fresh"
+        )
 
 
 def _rng_manifest(state: dict) -> Optional[dict]:

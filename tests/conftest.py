@@ -41,6 +41,22 @@ def _sanitizer_gate():
         pytest.fail(f"runtime sanitizer recorded violations: {detail}")
 
 
+class TickClock:
+    """A clock that advances a fixed step per read.
+
+    Budgets built on it expire after a deterministic number of cooperative
+    checkpoint calls — no wall-clock flakiness.
+    """
+
+    def __init__(self, step: float = 1.0) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
 def make_graph(n, edges, weights=None, sizes=None, coords=None):
     """Build a graph from a list of (u, v) pairs."""
     u = np.asarray([e[0] for e in edges], dtype=np.int64)

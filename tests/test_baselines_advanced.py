@@ -115,6 +115,17 @@ class TestSpectral:
         assert len(spectral_bisect(make_graph(2, [(0, 1)]))) == 2
         assert len(spectral_bisect(cycle_graph(3))) == 3
 
+    def test_same_input_same_labels(self):
+        """The eigensolver starts from a fixed vector, so repeated runs on
+        one graph give the same partition (a random start flipped signs
+        and moved the median split between runs)."""
+        from repro.synthetic import road_network
+
+        g = road_network(n_target=500, n_cities=4, seed=9)
+        first = spectral_partition(g, 4)
+        for _ in range(3):
+            assert np.array_equal(spectral_partition(g, 4), first)
+
 
 class TestKernighanLin:
     def test_repairs_interleaved_split(self):

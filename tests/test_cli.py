@@ -63,23 +63,26 @@ class TestPartition:
 
 class TestExecutorFlags:
     def test_partition_executor_backends_agree(self, gr_file, tmp_path, capsys):
-        """--executor serial/threads/processes write identical labels."""
+        """No --executor flag, threads and processes write identical labels."""
         paths = {}
-        for backend in ("serial", "threads", "processes"):
+        for backend in (None, "threads", "processes"):
             out = tmp_path / f"labels_{backend}.txt"
+            pool = [] if backend is None else ["--executor", backend, "--workers", "2"]
             rc = main(
                 [
                     "partition", gr_file, "-U", "100", "--seed", "1",
-                    "--multistart", "3",
-                    "--executor", backend, "--workers", "2",
-                    "-o", str(out),
+                    "--multistart", "3", *pool, "-o", str(out),
                 ]
             )
             assert rc == 0
             paths[backend] = np.loadtxt(out, dtype=int)
         capsys.readouterr()
-        assert np.array_equal(paths["serial"], paths["threads"])
-        assert np.array_equal(paths["serial"], paths["processes"])
+        assert np.array_equal(paths[None], paths["threads"])
+        assert np.array_equal(paths[None], paths["processes"])
+
+    def test_serial_executor_rejected(self, gr_file):
+        with pytest.raises(SystemExit):
+            main(["partition", gr_file, "-U", "100", "--executor", "serial"])
 
     def test_invalid_workers_rejected(self, gr_file):
         with pytest.raises(SystemExit):

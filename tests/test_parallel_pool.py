@@ -121,13 +121,13 @@ class TestWorkerPool:
 
 
 class TestParallelRuntime:
-    def test_serial_backend_has_no_pool(self):
-        with ParallelRuntime(ParallelConfig(backend="serial")) as rt:
-            assert rt.executor() is None
-            g = make_graph(3, [(0, 1), (1, 2)])
-            handle = rt.share(g)
-            assert not handle.is_shared
-            assert resolve_graph(handle) is g
+    def test_serial_backend_is_rejected(self):
+        """A run without a pool is ``parallel=None``; there is no serial
+        backend, and a graph passed as its own handle resolves to itself."""
+        with pytest.raises(ValueError, match="threads"):
+            ParallelConfig(backend="serial")
+        g = make_graph(3, [(0, 1), (1, 2)])
+        assert resolve_graph(g) is g
 
     def test_share_is_memoized(self):
         g = random_connected_graph(30, 20, seed=1)
@@ -178,10 +178,7 @@ class TestParallelRuntime:
 
         monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
         g = random_connected_graph(120, 60, seed=4)
-        with ParallelRuntime(ParallelConfig(backend="serial")) as serial:
-            serial_ids, _ = detect_natural_cuts(
-                g, 30, rng=np.random.default_rng(3), parallel=serial
-            )
+        serial_ids, _ = detect_natural_cuts(g, 30, rng=np.random.default_rng(3))
         with ParallelRuntime(ParallelConfig(backend="processes", workers=2)) as rt:
             rt.mark_broken()
             assert rt.executor() is None
@@ -256,8 +253,8 @@ class TestDegradation:
     def test_broken_pool_without_supervisor_finishes_inline(self, monkeypatch):
         """A process pool broken before the run, with no supervisor to
         respawn it: every later map (natural cuts and multistart assembly)
-        runs inline, no executor is built, and the labels are the serial
-        run's."""
+        runs inline, no executor is built, and the labels are those of a
+        run without a runtime."""
         import concurrent.futures
         import sys
 
@@ -266,9 +263,7 @@ class TestDegradation:
 
         g = random_connected_graph(120, 60, seed=4)
         asm = AssemblyConfig(multistart=4)
-        serial = run_punch(
-            g, 30, PunchConfig(seed=7, assembly=asm, parallel=ParallelConfig(backend="serial"))
-        )
+        serial = run_punch(g, 30, PunchConfig(seed=7, assembly=asm))
         cfg = PunchConfig(
             seed=7, assembly=asm, parallel=ParallelConfig(backend="processes", workers=2)
         )

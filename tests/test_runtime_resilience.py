@@ -20,21 +20,7 @@ from repro.core.config import BalancedConfig
 from repro.filtering.natural_cuts import collect_cut_problems, detect_natural_cuts
 from repro.runtime.checkpoint import load_checkpoint
 
-
-class TickClock:
-    """A clock that advances a fixed step per read.
-
-    Budgets built on it expire after a deterministic number of cooperative
-    checkpoint calls — no wall-clock flakiness.
-    """
-
-    def __init__(self, step: float = 1.0) -> None:
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
+from .conftest import TickClock
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +127,12 @@ class TestGracefulDegradationProperties:
 
 class TestMultistartCheckpointResume:
     def test_resume_matches_uninterrupted_run(self, tiny_road, tmp_path):
-        """Kill after 3 of 6 iterations, resume: the final result must be
-        bit-identical to an uninterrupted 6-iteration run (the stream
-        continues from the checkpointed RNG state).  Resuming requires the
-        original seed — a different one is rejected by the entry-state
-        checksum (see test_supervisor_chaos.py)."""
+        """Kill a 6-start run with its budget after 2 starts, resume: the
+        final result must be bit-identical to an uninterrupted run (the
+        resume reruns the starts that never returned, from the stored seed
+        schedule).  Resuming requires the original seed — a different one
+        is rejected by the entry-state checksum (see
+        test_supervisor_chaos.py)."""
         from repro.assembly.multistart import multistart
         from repro.core.config import AssemblyConfig
         from repro.filtering.pipeline import run_filtering
@@ -157,19 +144,22 @@ class TestMultistartCheckpointResume:
             frag, 96, AssemblyConfig(multistart=6), np.random.default_rng(7)
         )
 
-        # "killed" run: only 3 iterations, checkpointing every iteration
+        # killed run: the budget's 5th clock read (before the 3rd start)
+        # trips it; every returned start is checkpointed
         part1, stats1 = multistart(
-            frag, 96, AssemblyConfig(multistart=3), np.random.default_rng(7),
+            frag, 96, AssemblyConfig(multistart=6), np.random.default_rng(7),
             runtime=RuntimeConfig(checkpoint_path=str(ck), checkpoint_every=1),
+            budget=RunBudget(3.5, clock=TickClock(1.0)),
         )
-        assert stats1.checkpoints_written >= 3
+        assert stats1.deadline_expired
+        assert stats1.checkpoints_written == 2
         cost_at_kill = part1.cost
 
         resumed, stats2 = multistart(
             frag, 96, AssemblyConfig(multistart=6), np.random.default_rng(7),
             runtime=RuntimeConfig(checkpoint_path=str(ck), checkpoint_every=1, resume=True),
         )
-        assert stats2.resumed_at == 3
+        assert stats2.resumed_at == 2
         assert resumed.cost <= cost_at_kill
         assert resumed.cost == straight.cost
         assert np.array_equal(resumed.labels, straight.labels)
@@ -250,6 +240,62 @@ class TestRunReportSurface:
         assert cache is not None and cache["misses"] > 0
         assert filtering is not None and filtering["cut_engine"] == "push_relabel"
         assert "resilience" not in res.summary()
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_lost_starts_are_reported(self, max_retries):
+        """Every multistart start fails its first attempt: with no retry
+        all 4 are lost (the inline fallback start is the one iteration),
+        with one retry all 4 are retried — and the run report says so."""
+        from repro.core.config import AssemblyConfig
+        from repro.synthetic import instance
+
+        plan = FaultPlan(seed=1, failure_rate=1.0, max_attempt=0, sites=("worker",))
+        cfg = PunchConfig(
+            assembly=AssemblyConfig(multistart=4),
+            runtime=RuntimeConfig(
+                fault_plan=plan, max_retries=max_retries, backoff_base=0.0
+            ),
+            seed=3,
+        )
+        res = run_punch(instance("mini_like"), 64, cfg)
+        report = res.run_report()
+        if max_retries == 0:
+            assert res.assembly_stats.iterations == 1
+            assert report["assembly_skipped"] == 4
+        else:
+            assert res.assembly_stats.iterations == 4
+            assert report["assembly_retries"] == 4
+        assert "assembly_" in res.summary()
+
+    def test_disconnected_input_reports_every_component(self):
+        """Two disjoint copies of one graph: the fragment count and the
+        run-report counters cover both components, not just the last."""
+        from repro.graph import build_graph
+        from repro.synthetic import instance
+
+        g = instance("mini_like")
+        n = g.n
+        two = build_graph(
+            2 * n,
+            np.concatenate([g.edge_u, g.edge_u + n]),
+            np.concatenate([g.edge_v, g.edge_v + n]),
+            weights=np.concatenate([g.ewgt, g.ewgt]),
+            sizes=np.concatenate([g.vsize, g.vsize]),
+        )
+        one = run_punch(g, 64, PunchConfig(seed=0))
+        res = run_punch(two, 64, PunchConfig(seed=0))
+        parts = res.components
+        assert len(parts) == 2
+        # the first component starts from the same RNG state as a lone run
+        assert parts[0].num_fragments == one.num_fragments
+        assert res.num_fragments == sum(p.num_fragments for p in parts)
+        assert res.num_fragments > one.num_fragments
+        assert res.cost == sum(p.cost for p in parts)
+        solved = res.run_report()["filtering"]["problems_solved"]
+        assert solved == sum(
+            p.filter_result.natural_stats.problems_solved for p in parts
+        )
+        assert solved > one.run_report()["filtering"]["problems_solved"]
 
     def test_stats_fields_present(self, tiny_road):
         res = run_punch(tiny_road, 96, PunchConfig(seed=0))

@@ -262,7 +262,7 @@ class TestSupervisorWatchdog:
         name = shm.name
         shm.close()
         register_segments("tok-orphan", [name], pid=_dead_pid())
-        with _supervised("serial") as rt:
+        with _supervised("threads") as rt:
             assert rt.orphans_reaped == 1
             assert rt.supervisor_report()["orphans_reaped"] == 1
         assert not _segment_exists(name)
@@ -366,12 +366,9 @@ def chaos_graph():
 
 @pytest.fixture(scope="module")
 def serial_baseline(chaos_graph):
-    """Fault-free serial run every chaos scenario must reproduce exactly."""
-    cfg = PunchConfig(
-        assembly=AssemblyConfig(multistart=4),
-        parallel=ParallelConfig(backend="serial"),
-        seed=7,
-    )
+    """Fault-free run without a runtime; every chaos scenario must
+    reproduce it exactly."""
+    cfg = PunchConfig(assembly=AssemblyConfig(multistart=4), seed=7)
     return run_punch(chaos_graph, 30, cfg)
 
 
@@ -410,7 +407,6 @@ class TestChaosEndToEnd:
         cfg = PunchConfig(
             assembly=AssemblyConfig(multistart=4),
             runtime=RuntimeConfig(fault_plan=plan),
-            parallel=ParallelConfig(backend="serial"),
             seed=7,
         )
         res = run_punch(chaos_graph, 30, cfg)

@@ -58,11 +58,7 @@ def test_sigkill_storm_mid_update_is_bit_identical(start, monkeypatch, tmp_path)
     g, part = start
     batch = synthetic_delta_batch(g, kind="mixed", count=8, seed=1)
 
-    base_cfg = PunchConfig(
-        assembly=AssemblyConfig(multistart=4),
-        parallel=ParallelConfig(backend="serial"),
-        seed=SEED,
-    )
+    base_cfg = PunchConfig(assembly=AssemblyConfig(multistart=4), seed=SEED)
     _, clean = _apply(part, batch, base_cfg)
 
     plan = ChaosPlan(seed=3, sites=("process",), kill_rate=1.0)
