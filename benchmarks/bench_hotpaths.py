@@ -9,7 +9,7 @@ Standalone script (not a pytest bench):
 For every vectorized kernel introduced by the perf work, this times the
 production implementation against the scalar reference it replaced — on the
 same inputs, asserting output equality while doing so — and reports the
-speedups plus cut-cache and profiler-overhead measurements in
+speedups plus cut-cache, local-search and profiler-overhead measurements in
 ``BENCH_hotpaths.json`` at the repo root (machine-readable; format
 documented in ``benchmarks/README.md`` and ``docs/PERFORMANCE.md``).
 
@@ -31,12 +31,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.assembly.cells import PartitionState  # noqa: E402
+from repro.assembly.driver import run_assembly  # noqa: E402
 from repro.assembly.greedy import greedy_labels_for_graph  # noqa: E402
 from repro.assembly.instance import (  # noqa: E402
     build_aux_instance,
     build_aux_instance_reference,
 )
-from repro.core.config import FilterConfig  # noqa: E402
+from repro.core.config import AssemblyConfig, FilterConfig  # noqa: E402
 from repro.filtering.cut_problem import (  # noqa: E402
     build_cut_problem,
     build_cut_problem_reference,
@@ -172,7 +173,7 @@ def bench_tiny_cut_scan(g, kernels: dict) -> None:
     )
 
 
-def bench_aux_instance(g, kernels: dict) -> None:
+def bench_aux_instance(g, kernels: dict):
     filt = run_filtering(g, U, FilterConfig(), np.random.default_rng(3))
     frag = filt.fragment_graph
     labels = greedy_labels_for_graph(frag, 4 * U, np.random.default_rng(4))
@@ -200,6 +201,31 @@ def bench_aux_instance(g, kernels: dict) -> None:
         timed(lambda s=fresh_state(): [build_aux_instance_reference(s, R, S, "L2+") for R, S in pairs]),
         timed(lambda s=fresh_state(): [build_aux_instance(s, R, S, "L2+") for R, S in pairs]),
     )
+    return frag
+
+
+def bench_local_search(frag) -> dict:
+    """End-to-end assembly (one start: greedy + L2+ local search) on fragments."""
+    runs = []
+
+    def one_run():
+        runs.append(run_assembly(frag, U, AssemblyConfig(), np.random.default_rng(7)))
+
+    t = timed(one_run)
+    stats = runs[0].stats
+    assert all(np.array_equal(r.labels, runs[0].labels) for r in runs)
+    entry = {
+        "assembly_s": t,
+        "cost": float(runs[0].cost),
+        "ls_steps": stats.ls_steps,
+        "ls_instances_built": stats.ls_instances_built,
+        "ls_instances_reused": stats.ls_instances_reused,
+    }
+    print(
+        f"  assembly.local_search  run_assembly {t * 1e3:9.2f} ms   steps {stats.ls_steps}"
+        f"   instances built {stats.ls_instances_built} / reused {stats.ls_instances_reused}"
+    )
+    return entry
 
 
 def bench_cut_cache(g) -> dict:
@@ -265,7 +291,8 @@ def main() -> int:
     bench_traversal(g, kernels)
     bench_cut_problems(g, kernels)
     bench_tiny_cut_scan(g, kernels)
-    bench_aux_instance(g, kernels)
+    frag = bench_aux_instance(g, kernels)
+    local_search_entry = bench_local_search(frag)
     cache_entry = bench_cut_cache(g)
     overhead_entry = bench_profiler_overhead(g)
 
@@ -280,6 +307,7 @@ def main() -> int:
         "generated_unix": int(time.time()),
         "kernels": kernels,
         "cut_cache": cache_entry,
+        "assembly.local_search": local_search_entry,
         "profiler_overhead": overhead_entry,
     }
     OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")

@@ -26,6 +26,7 @@ rebalances/solution  50                       8
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -57,7 +58,19 @@ __all__ = [
     "SCALED_ASSEMBLY",
     "SCALED_BALANCED",
     "SCALED_BALANCED_STRONG",
+    "experiment_rng",
 ]
+
+
+def experiment_rng(seed: int, *key) -> np.random.Generator:
+    """The generator of one experiment run, a pure function of its arguments.
+
+    ``seed`` and every ``key`` item (instance name, U, run index, ...) enter
+    as the CRC-32 of their ``str``.  Python salts ``hash()`` of a string per
+    process, so seeds derived from it changed from one process to the next.
+    """
+    return np.random.default_rng([zlib.crc32(str(k).encode()) for k in (seed, *key)])
+
 
 DEFAULT_T1_U = (64, 256, 1024, 4096)
 DEFAULT_KS = (2, 4, 8, 16, 32, 64)
@@ -109,7 +122,7 @@ def table1_unbalanced(
             costs, cells, vprime = [], [], []
             t_t = t_n = t_a = 0.0
             for r in range(runs):
-                rng = np.random.default_rng(seed * 1_000_003 + hash((name, U, r)) % 2**31)
+                rng = experiment_rng(seed, "table1", name, U, r)
                 res = run_punch(g, U, config, rng=rng)
                 costs.append(res.cost)
                 cells.append(res.num_cells)
@@ -213,7 +226,7 @@ def balanced_tables(
         out.strong[name] = {}
         for k in ks:
             U_star = balanced_cell_bound(g.total_size(), k, epsilon)
-            rng = np.random.default_rng(seed * 7_777_777 + hash((name, k)) % 2**31)
+            rng = experiment_rng(seed, "balanced-filter", name, k)
             t0 = time.perf_counter()
             U_filter = max(int(g.vsize.max(initial=1)), U_star // default_cfg.filter_divisor)
             filt = run_filtering(g, U_filter, default_cfg.filter, rng)
@@ -223,9 +236,7 @@ def balanced_tables(
             for cfg, bucket in ((default_cfg, out.default), (strong_cfg, out.strong)):
                 costs, times, feas = [], [], 0
                 for r in range(runs):
-                    rrng = np.random.default_rng(
-                        seed * 97 + hash((name, k, r, cfg.numerator)) % 2**31
-                    )
+                    rrng = experiment_rng(seed, "balanced-run", name, k, r, cfg.numerator)
                     t1 = time.perf_counter()
                     try:
                         res = balanced_from_fragments(
@@ -423,7 +434,7 @@ def ablation_filter_params(
         kv = dict(base)
         kv[param] = value
         cfg = PunchConfig(filter=FilterConfig(**kv), assembly=SCALED_ASSEMBLY)
-        rng = np.random.default_rng(seed + hash((param, value)) % 2**31)
+        rng = experiment_rng(seed, "ablation-filter", param, value)
         res = run_punch(g, U, cfg, rng=rng)
         rows.append(
             {

@@ -15,15 +15,22 @@ search, combination) can hand in arbitrary auxiliary instances cheaply; use
 
 This is the hottest loop of the assembly phase (it runs once per
 reoptimization step), so the inner code is deliberately low-level: the
-biased randomization term is derived from *one* uniform drawn out of a
-pre-filled buffer, and ``1/sqrt(size)`` values are cached per vertex.
+biased randomization terms come from a stream of plain Python floats,
+folded from blocks of uniforms in one vectorized step, and
+``1/sqrt(size)`` values are cached per vertex.
+
+RNG rule: a call draws ``rng.random(8192)`` on entry, whether or not it
+scores anything, and one more such block each time a block runs out, so
+the generator's state after a call depends only on how many scores it
+needed.  Every caller's partitions depend on this rule.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List
+from itertools import chain, repeat
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -32,23 +39,42 @@ from ..graph.graph import Graph
 __all__ = ["adjacency_of_graph", "greedy_assemble", "greedy_labels_for_graph"]
 
 
-class _RandomBuffer:
-    """Amortized uniform[0,1) samples from a Generator."""
+#: uniforms drawn per ``rng.random`` call of the greedy's score stream
+_CHUNK = 8192
+#: uniforms folded into r values at a time (a greedy run on a local-search
+#: instance needs about 200 scores, far fewer than a chunk)
+_BLOCK = 256
 
-    __slots__ = ("rng", "buf", "pos")
 
-    def __init__(self, rng: np.random.Generator, chunk: int = 8192) -> None:
-        self.rng = rng
-        self.buf = rng.random(chunk)
-        self.pos = 0
+def _biased_block(u: np.ndarray, a: float, b: float) -> List[float]:
+    """The biased r of the uniforms ``u``, as Python floats.
 
-    def next(self) -> float:
-        if self.pos >= len(self.buf):
-            self.buf = self.rng.random(len(self.buf))
-            self.pos = 0
-        x = self.buf[self.pos]
-        self.pos += 1
-        return x
+    One uniform folded into the paper's two-branch distribution: with
+    probability ``a``, ``r = b * (u / a)`` (uniform in ``[0, b]``);
+    otherwise ``r = b + (u - a) * (1 - b) / (1 - a)`` (uniform in
+    ``[b, 1]``).  Elementwise, these are the float operations of the scalar
+    fold, so every value is bit-identical to it.
+    """
+    r = b + (u - a) * ((1.0 - b) / (1.0 - a) if a < 1.0 else 0.0)
+    low = u < a  # empty when a = 0
+    r[low] = b * (u[low] / a)
+    return r.tolist()
+
+
+def _biased_stream(rng: np.random.Generator, a: float, b: float) -> Callable[[], float]:
+    """``next`` of an endless stream of biased r values drawn from ``rng``.
+
+    The first chunk of uniforms is drawn here, on entry; each later chunk
+    only when the previous one is used up.  Within a chunk, blocks are
+    folded as they are reached.
+    """
+    chunks = chain((rng.random(_CHUNK),), map(rng.random, repeat(_CHUNK)))
+    blocks = (
+        _biased_block(u[i : i + _BLOCK], a, b)
+        for u in chunks
+        for i in range(0, _CHUNK, _BLOCK)
+    )
+    return chain.from_iterable(blocks).__next__
 
 
 def adjacency_of_graph(g: Graph) -> List[Dict[int, float]]:
@@ -77,24 +103,14 @@ def greedy_assemble(
     """Contract greedily; returns per-vertex group labels (root vertex ids).
 
     ``adj`` is consumed (mutated); pass a copy to keep the original.
-    ``sizes`` is copied internally.
+    ``sizes`` (an array or a list) is copied internally.
     """
-    n = len(sizes)
-    size = [int(s) for s in sizes]
+    size = np.asarray(sizes, dtype=np.int64).tolist()
+    n = len(size)
     isq = [1.0 / math.sqrt(s) for s in size]
     parent = list(range(n))
     version = [0] * n
-    rand = _RandomBuffer(rng)
-    a, b = score_a, score_b
-    one_minus_b_over = (1.0 - b) / (1.0 - a) if a < 1.0 else 0.0
-
-    def biased() -> float:
-        # one uniform folded into the paper's two-branch distribution:
-        # with prob a, r ~ U[0, b]; otherwise r ~ U[b, 1]
-        u = rand.next()
-        if u < a:
-            return b * (u / a) if a > 0 else 0.0
-        return b + (u - a) * one_minus_b_over
+    biased = _biased_stream(rng, score_a, score_b)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -147,7 +163,7 @@ def greedy_assemble(
                     push(heap, (-s, x, u, version[x], vu))
 
     # path-compress everything and report roots
-    return np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
+    return np.array([find(i) for i in range(n)], dtype=np.int64)
 
 
 def greedy_labels_for_graph(

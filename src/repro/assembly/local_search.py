@@ -8,6 +8,15 @@ result iff the internal cut strictly improves.  On failure ``phi_RS`` is
 incremented; on success the counters of all ``H``-edges with at least one
 endpoint in an uncontracted region of the instance are reset to zero.  The
 search stops when no pair with ``phi_RS < phi`` remains.
+
+A pair is usually retried many times before it improves or runs out of
+budget, so each pair's instance is built once and reused while every cell
+it references is alive.  Reuse is exact: cells are immutable and their ids
+are never reused, and :meth:`PartitionState.replace_cells` keeps the order
+of the surviving ``H`` entries, so a live instance equals a fresh
+:func:`build_aux_instance`, edge order included.  An improving step evicts
+every instance that references a cell it destroyed, and a pair that runs
+out of budget frees its own.
 """
 
 from __future__ import annotations
@@ -16,9 +25,10 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
+from ..perf.timers import profile_count
 from .cells import PartitionState
 from .greedy import greedy_assemble
-from .instance import build_aux_instance
+from .instance import AuxInstance, build_aux_instance
 
 __all__ = ["local_search", "LocalSearchStats"]
 
@@ -68,6 +78,40 @@ class LocalSearchStats:
         self.improvements = 0
         self.initial_cost = 0.0
         self.final_cost = 0.0
+        # pair instances built fresh / taken from the cache
+        self.instances_built = 0
+        self.instances_reused = 0
+
+
+class _PairInstance:
+    """A pair's auxiliary instance plus what each step reads from it."""
+
+    __slots__ = ("aux", "adj", "cells", "sizes", "cost")
+
+    def __init__(self, aux: AuxInstance) -> None:
+        self.aux = aux
+        self.adj = aux.adjacency()  # the greedy consumes a copy
+        # the distinct cells the instance references
+        self.cells = [int(c) for c in np.unique(aux.unit_cell)]
+        self.sizes = aux.unit_sizes.tolist()
+        self.cost = aux.current_internal_cost
+
+
+def _pair_instance(
+    cache: Dict[Tuple[int, int], _PairInstance],
+    state: PartitionState,
+    pair: Tuple[int, int],
+    variant: str,
+    stats: LocalSearchStats,
+) -> _PairInstance:
+    """The pair's instance: cached, or built and cached on first use."""
+    inst = cache.get(pair)
+    if inst is None:
+        inst = cache[pair] = _PairInstance(build_aux_instance(state, *pair, variant))
+        stats.instances_built += 1
+    else:
+        stats.instances_reused += 1
+    return inst
 
 
 def _canon(a: int, b: int) -> Tuple[int, int]:
@@ -104,6 +148,7 @@ def local_search(
     stats.initial_cost = state.cost
 
     phi: Dict[Tuple[int, int], int] = {}
+    cache: Dict[Tuple[int, int], _PairInstance] = {}
     avail = _RandomPairSet()
     for p in state.adjacent_pairs():
         avail.add(p)
@@ -131,30 +176,27 @@ def local_search(
 
         # speculative evaluation (independent; parallelizable)
         proposals = []
-        for R, S in pairs:
-            aux = build_aux_instance(state, R, S, variant)
+        for pair in pairs:
+            inst = _pair_instance(cache, state, pair, variant, stats)
             groups = greedy_assemble(
-                aux.unit_sizes.copy(), aux.adjacency(), U, rng, score_a, score_b
+                inst.sizes, list(map(dict.copy, inst.adj)), U, rng, score_a, score_b
             )
-            # the distinct cells this instance references, computed once at
-            # build time instead of per re-validation
-            aux_cells = [int(c) for c in np.unique(aux.unit_cell)]
-            proposals.append((R, S, aux, groups, aux_cells))
+            proposals.append((pair, inst, groups))
 
         # sequential application with re-validation
-        for R, S, aux, groups, aux_cells in proposals:
+        for (R, S), inst, groups in proposals:
             if R not in state.H or S not in state.H or S not in state.H[R]:
                 continue  # invalidated by an earlier application this round
             # every cell the (possibly stale) instance references must still
             # exist; cell ids are never reused, so existence implies the
             # membership is exactly what the instance was built from
-            if any(c not in state.cell_members for c in aux_cells):
+            if any(c not in state.cell_members for c in inst.cells):
                 continue
             stats.steps += 1
-            old_internal = aux.current_internal_cost
-            new_internal = aux.internal_cost(groups)
+            old_internal = inst.cost
+            new_internal = inst.aux.internal_cost(groups)
             if new_internal < old_internal - _EPS:
-                _apply(state, aux, groups, phi, avail)
+                _apply(state, inst.aux, groups, phi, avail, cache)
                 state.cost += new_internal - old_internal
                 stats.improvements += 1
             else:
@@ -162,8 +204,12 @@ def local_search(
                 phi[p] = phi.get(p, 0) + 1
                 if phi[p] >= phi_max:
                     avail.discard(p)
+                    # only pairs with a new cell are ever sampled again
+                    cache.pop(p, None)
 
     stats.final_cost = state.cost
+    profile_count("assembly.ls_instances_built", stats.instances_built)
+    profile_count("assembly.ls_instances_reused", stats.instances_reused)
     return stats
 
 
@@ -173,6 +219,7 @@ def _apply(
     groups: np.ndarray,
     phi: Dict[Tuple[int, int], int],
     avail: _RandomPairSet,
+    cache: Dict[Tuple[int, int], _PairInstance],
 ) -> None:
     """Commit an improving reoptimization step to the partition state."""
     # groups -> new cells.  A contracted unit left alone keeps its old cell
@@ -215,6 +262,8 @@ def _apply(
             avail.discard(p)
     for p in [q for q in phi if q[0] in destroyed or q[1] in destroyed]:
         del phi[p]
+    for p in [q for q, inst in cache.items() if not destroyed.isdisjoint(inst.cells)]:
+        del cache[p]
 
     # activate pairs around the new cells; reset counters of pairs touching
     # a cell that contains an uncontracted region (the paper's reset rule)

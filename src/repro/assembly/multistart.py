@@ -58,9 +58,11 @@ from .greedy import greedy_labels_for_graph
 from .local_search import local_search
 from .pool import ElitePool, Solution
 
-__all__ = ["MultistartStats", "multistart", "derive_seeds"]
+__all__ = ["MultistartStats", "multistart", "derive_seeds", "LS_COUNTERS"]
 
 CHECKPOINT_KIND = "multistart"
+#: the local-search counters a start task reports back to the driver
+LS_COUNTERS = ("ls_steps", "ls_improvements", "ls_instances_built", "ls_instances_reused")
 
 
 @dataclass
@@ -70,6 +72,9 @@ class MultistartStats:
     combinations: int = 0
     ls_improvements: int = 0
     ls_steps: int = 0
+    # local-search pair instances built fresh / reused from the cache
+    ls_instances_built: int = 0
+    ls_instances_reused: int = 0
     iteration_costs: List[float] = field(default_factory=list)
     # resilience accounting (docs/RESILIENCE.md)
     deadline_expired: bool = False  # loop stopped early on the budget
@@ -91,6 +96,27 @@ class MultistartStats:
             out["checkpoints_written"] = self.checkpoints_written
         if self.checkpoint_recovery:
             out["checkpoint_recovery"] = dict(self.checkpoint_recovery)
+        return out
+
+    @classmethod
+    def summed(cls, parts: List["MultistartStats"]) -> "MultistartStats":
+        """Runs on the disjoint components of one graph, as one run.
+
+        Counters and dispatch accounting add up; ``iteration_costs[i]`` is
+        the sum of the runs' ``i``-th costs over their common length, so
+        with one start each ``min(iteration_costs)`` is the cost of the
+        union of their partitions.
+        """
+        out = cls()
+        for s in parts:
+            for key in LS_COUNTERS + ("combinations",):
+                setattr(out, key, getattr(out, key) + getattr(s, key))
+            out.deadline_expired = out.deadline_expired or s.deadline_expired
+            out.dispatch.absorb(s.dispatch)
+        out.iteration_costs = [
+            float(sum(costs)) for costs in zip(*(s.iteration_costs for s in parts))
+        ]
+        out.iterations = len(out.iteration_costs)
         return out
 
 
@@ -117,6 +143,8 @@ def _one_start(
         )
     stats.ls_improvements += ls.improvements
     stats.ls_steps += ls.steps
+    stats.ls_instances_built += ls.instances_built
+    stats.ls_instances_reused += ls.instances_reused
     return Solution.from_labels(g, state.labels, state.cost)
 
 
@@ -262,8 +290,8 @@ def multistart(
                 wstats = out[-1]
                 if parallel is not None:
                     parallel.note_batch(wstats)
-                stats.ls_improvements += int(wstats.get("ls_improvements", 0))
-                stats.ls_steps += int(wstats.get("ls_steps", 0))
+                for key in LS_COUNTERS:
+                    setattr(stats, key, getattr(stats, key) + int(wstats.get(key, 0)))
         return results
 
     if M == 1 and done == 0:

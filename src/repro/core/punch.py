@@ -182,7 +182,7 @@ def _run_per_component(
         partition=partition,
         U=U,
         filter_result=parts[-1].filter_result,
-        assembly_stats=parts[-1].assembly_stats,
+        assembly_stats=None,  # summed over the components
         parallel_report=parallel.report() if parallel is not None else {},
         supervisor_report=parallel.supervisor_report() if parallel is not None else {},
         components=parts,

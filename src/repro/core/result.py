@@ -63,10 +63,17 @@ class PunchResult:
     # supervision telemetry (watchdog detections, restarts, reaped orphans);
     # empty when the run was unsupervised
     supervisor_report: dict = field(default_factory=dict)
-    # one result per multi-vertex component of a disconnected input (whose
-    # filter_result / assembly_stats are the last component's); the
-    # fragment count and run report cover them all
+    # one result per multi-vertex component of a disconnected input; the
+    # fragment count, the run report and assembly_stats (counters and
+    # per-iteration costs summed) cover them all, filter_result is the last
+    # component's
     components: list = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.components:
+            self.assembly_stats = MultistartStats.summed(
+                [c.assembly_stats for c in self.components]
+            )
 
     @property
     def cost(self) -> float:

@@ -138,14 +138,14 @@ def run_start_task(
     the executor.  Multistart runs it at ``U``, the balanced driver at
     ``U*`` with its unbalanced ``phi``.  Returns ``(labels, cost, stats)``.
     """
-    from ..assembly.multistart import MultistartStats, _one_start
+    from ..assembly.multistart import LS_COUNTERS, MultistartStats, _one_start
 
     g = resolve_graph(handle)
     tstats = _TaskStats()
     mstats = MultistartStats()
     sol = _one_start(g, U, cfg, np.random.default_rng(seed), mstats)
-    tstats.out["ls_improvements"] = mstats.ls_improvements
-    tstats.out["ls_steps"] = mstats.ls_steps
+    for key in LS_COUNTERS:
+        tstats.out[key] = getattr(mstats, key)
     return np.asarray(sol.labels), float(sol.cost), tstats.finish()
 
 
@@ -165,7 +165,7 @@ def combine_iteration_task(
     for the parent to re-insert into the elite pool in iteration order.
     """
     from ..assembly.combine import combine_chain
-    from ..assembly.multistart import MultistartStats, _one_start
+    from ..assembly.multistart import LS_COUNTERS, MultistartStats, _one_start
     from ..assembly.pool import Solution
 
     seed, labels1, cost1, labels2, cost2 = item
@@ -178,8 +178,8 @@ def combine_iteration_task(
     s2 = Solution.from_labels(g, labels2, cost2)
     with profile_span("assembly.combine"):
         p_prime, p_second = combine_chain(g, p, s1, s2, U, cfg, rng)
-    tstats.out["ls_improvements"] = mstats.ls_improvements
-    tstats.out["ls_steps"] = mstats.ls_steps
+    for key in LS_COUNTERS:
+        tstats.out[key] = getattr(mstats, key)
     return (
         (np.asarray(p.labels), float(p.cost)),
         (np.asarray(p_prime.labels), float(p_prime.cost)),

@@ -125,3 +125,45 @@ class TestUpdateExperimentsScript:
         monkeypatch.setattr(mod, "DOC", doc)
         mod.main()
         assert "<!-- RESULT:absent -->" in doc.read_text()
+
+
+class TestExperimentSeeds:
+    """Experiment runs draw the same streams in every process."""
+
+    SCRIPT = (
+        "from repro.analysis.experiments import experiment_rng\n"
+        "keys = [('table1', 'luxembourg_like', 64, 0), ('balanced-filter', 'luxembourg_like', 2),\n"
+        "        ('balanced-run', 'luxembourg_like', 2, 1, 32), ('ablation-filter', 'alpha', 0.5)]\n"
+        "print([int(experiment_rng(0, *k).integers(2**31)) for k in keys])\n"
+        "print(hash(('luxembourg_like', 2)))\n"
+    )
+
+    def _run(self, hash_seed: str):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        seeds, salted = out.stdout.splitlines()
+        return seeds, salted
+
+    def test_same_seeds_under_different_hash_salts(self):
+        seeds_a, salted_a = self._run("1")
+        seeds_b, salted_b = self._run("2")
+        assert salted_a != salted_b  # the salt does change hash()
+        assert seeds_a == seeds_b
+
+    def test_key_items_change_the_stream(self):
+        from repro.analysis.experiments import experiment_rng
+
+        draws = {
+            int(experiment_rng(seed, *key).integers(2**63))
+            for seed, key in [(0, ("a", 1)), (1, ("a", 1)), (0, ("a", 2)), (0, ("b", 1))]
+        }
+        assert len(draws) == 4

@@ -1,10 +1,18 @@
 """Unit tests for the auxiliary instances and the L2/L2+/L2* local search."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.assembly import PartitionState, build_aux_instance, local_search
+from repro.assembly import (
+    PartitionState,
+    build_aux_instance,
+    greedy_labels_for_graph,
+    local_search,
+)
 from repro.assembly.local_search import _RandomPairSet
+from repro.synthetic.instances import instance
 
 from .conftest import cycle_graph, make_graph, random_connected_graph
 
@@ -162,3 +170,48 @@ class TestLocalSearch:
         local_search(state, U=10, phi_max=8, rng=rng)
         assert state.cost <= before + 1e-9
         assert state.cost == pytest.approx(state.recompute_cost())
+
+
+class TestInstanceCache:
+    """Every reused pair instance equals a fresh build on the current state."""
+
+    @staticmethod
+    def _assert_same(inst, fresh):
+        aux = inst.aux
+        for name in ("edge_a", "edge_b", "edge_w", "unit_sizes", "unit_cell", "uncontracted"):
+            got, want = getattr(aux, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name  # same values, same order
+        assert aux.unit_frags == fresh.unit_frags
+        # the greedy's RNG order follows the adjacency's insertion order
+        want_adj = [list(d.items()) for d in fresh.adjacency()]
+        assert [list(d.items()) for d in inst.adj] == want_adj
+        assert inst.sizes == fresh.unit_sizes.tolist()
+        assert inst.cost == fresh.current_internal_cost
+        assert inst.cells == sorted({int(c) for c in fresh.unit_cell})
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("variant", ["L2", "L2+", "L2*"])
+    def test_reused_instance_equals_fresh_build(self, monkeypatch, variant, batch):
+        # the package re-exports the function under the module's name
+        ls_mod = importlib.import_module("repro.assembly.local_search")
+        checked = []
+        lookup = ls_mod._pair_instance
+
+        def checking_lookup(cache, state, pair, variant_, stats):
+            reused = pair in cache
+            inst = lookup(cache, state, pair, variant_, stats)
+            if reused:
+                self._assert_same(inst, build_aux_instance(state, *pair, variant_))
+                checked.append(pair)
+            return inst
+
+        monkeypatch.setattr(ls_mod, "_pair_instance", checking_lookup)
+        g = instance("mini_like")
+        rng = np.random.default_rng(0)
+        state = PartitionState(g, greedy_labels_for_graph(g, 32, rng))
+        stats = local_search(state, 32, variant=variant, rng=rng, batch=batch)
+        state.check()
+        assert stats.improvements >= 10
+        assert len(checked) == stats.instances_reused > 0
+        assert stats.instances_built + stats.instances_reused >= stats.steps

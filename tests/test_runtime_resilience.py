@@ -267,9 +267,9 @@ class TestRunReportSurface:
             assert report["assembly_retries"] == 4
         assert "assembly_" in res.summary()
 
-    def test_disconnected_input_reports_every_component(self):
-        """Two disjoint copies of one graph: the fragment count and the
-        run-report counters cover both components, not just the last."""
+    @staticmethod
+    def _two_copies():
+        """mini_like and two disjoint copies of it."""
         from repro.graph import build_graph
         from repro.synthetic import instance
 
@@ -282,6 +282,12 @@ class TestRunReportSurface:
             weights=np.concatenate([g.ewgt, g.ewgt]),
             sizes=np.concatenate([g.vsize, g.vsize]),
         )
+        return g, two
+
+    def test_disconnected_input_reports_every_component(self):
+        """Two disjoint copies of one graph: the fragment count and the
+        run-report counters cover both components, not just the last."""
+        g, two = self._two_copies()
         one = run_punch(g, 64, PunchConfig(seed=0))
         res = run_punch(two, 64, PunchConfig(seed=0))
         parts = res.components
@@ -296,6 +302,30 @@ class TestRunReportSurface:
             p.filter_result.natural_stats.problems_solved for p in parts
         )
         assert solved > one.run_report()["filtering"]["problems_solved"]
+
+    def test_disconnected_input_assembly_stats_cover_every_component(self):
+        """On two disjoint copies, ``assembly_stats`` sums the components'
+        counters and per-iteration costs: with one start,
+        ``min(iteration_costs)`` is the partition's cost."""
+        _, two = self._two_copies()
+        res = run_punch(two, 64, PunchConfig(seed=0))
+        parts = [p.assembly_stats for p in res.components]
+        stats = res.assembly_stats
+        assert len(parts) == 2
+        assert res.cost == 85.0
+        assert stats.iteration_costs == [res.cost]
+        assert min(stats.iteration_costs) == res.cost
+        assert stats.iterations == 1
+        for key in (
+            "ls_steps",
+            "ls_improvements",
+            "ls_instances_built",
+            "ls_instances_reused",
+            "combinations",
+        ):
+            assert getattr(stats, key) == sum(getattr(p, key) for p in parts), key
+        assert stats.ls_steps > max(p.ls_steps for p in parts)
+        assert stats.ls_instances_built + stats.ls_instances_reused == stats.ls_steps
 
     def test_stats_fields_present(self, tiny_road):
         res = run_punch(tiny_road, 96, PunchConfig(seed=0))
