@@ -499,10 +499,12 @@ def baseline_comparison(
     U: int = 256,
     seed: int = 0,
 ):
-    """PUNCH vs multilevel vs region growing on the U-bounded problem,
-    plus inertial flow / FlowCutter / spectral on the matching k-cell
-    problem (they bound cell counts, not sizes)."""
+    """PUNCH vs multilevel vs region growing on the U-bounded problem, plus
+    PUNCH's filtering under a multilevel assembly (the Buffoon-style hybrid
+    of the paper's conclusion), plus inertial flow / FlowCutter / spectral
+    on the matching k-cell problem (they bound cell counts, not sizes)."""
     from ..baselines import (
+        buffoon_partition_U,
         flowcutter_partition,
         inertial_flow_partition,
         multilevel_partition_U,
@@ -529,6 +531,7 @@ def baseline_comparison(
     for label, fn in (
         ("multilevel", lambda: multilevel_partition_U(g, U, np.random.default_rng(seed))),
         ("region-growing", lambda: region_growing_partition(g, U, np.random.default_rng(seed))),
+        ("filter+multilevel", lambda: buffoon_partition_U(g, U, np.random.default_rng(seed))),
     ):
         t0 = time.perf_counter()
         p = Partition(g, fn())

@@ -3,7 +3,6 @@
 from .buffoon import buffoon_partition_U, buffoon_partition_k
 from .flowcutter import flowcutter_bisect, flowcutter_partition
 from .fm import fm_refine
-from .kl import kl_refine, kl_refine_pair
 from .inertial_flow import inertial_bisect, inertial_flow_partition
 from .matching import heavy_edge_matching
 from .multilevel import coarsen, multilevel_partition_U, multilevel_partition_k
@@ -23,8 +22,6 @@ __all__ = [
     "buffoon_partition_k",
     "flowcutter_bisect",
     "flowcutter_partition",
-    "kl_refine",
-    "kl_refine_pair",
     "spectral_bisect",
     "spectral_partition",
     "fiedler_vector",

@@ -4,8 +4,7 @@ FlowCutter is, besides Inertial Flow, the main open alternative to PUNCH
 for road-network partitioning (see the reproduction notes in DESIGN.md).
 Its core idea — one incremental s-t max flow, *pierced* on its lighter
 side whenever the current min cut is too unbalanced — is the Pareto front
-of :func:`repro.flow.pareto.pareto_front`, the same front the
-``flowcutter`` cut engine enumerates.  This module adds only what the
+of :func:`repro.flow.pareto.pareto_front`.  This module adds what the
 baseline needs on top: the terminal choice, the pick of one front point
 (the cheapest cut meeting the balance goal), and the recursion into ``k``
 cells.  Balance is measured in vertex size, and piercing is random.
@@ -57,7 +56,7 @@ def flowcutter_bisect(
         t = (s + 1) % n
 
     net = FlowNetwork(n, g.edge_u, g.edge_v, g.ewgt)
-    front = pareto_front(net, s, t, g.vsize, balance_goal, np.inf, rng)
+    front = pareto_front(net, s, t, g.vsize, balance_goal, rng)
     # sorted by balance with capacity increasing: the first point meeting
     # the goal is the cheapest one, the last point the most balanced
     best = next((p for p in front if p.balance >= balance_goal), front[-1])

@@ -23,7 +23,6 @@ from pathlib import Path
 from .core.config import (
     AssemblyConfig,
     BalancedConfig,
-    FilterConfig,
     PunchConfig,
     RuntimeConfig,
 )
@@ -123,21 +122,6 @@ def _add_runtime_flags(sp) -> None:
         metavar="N",
         help="worker count for --executor threads/processes (default: all cores)",
     )
-    sp.add_argument(
-        "--cut-engine",
-        default="push_relabel",
-        metavar="NAME",
-        help="natural-cut engine: push_relabel (paper default, exact min cut) "
-        "or flowcutter (Pareto cut enumeration; see docs/CUT_ENGINES.md)",
-    )
-
-
-def _filter_from_args(args) -> FilterConfig:
-    """Build the filtering config from the shared CLI flags."""
-    try:
-        return FilterConfig(cut_engine=getattr(args, "cut_engine", "push_relabel"))
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
 
 def _parallel_from_args(args):
@@ -262,7 +246,6 @@ def cmd_partition(args) -> int:
 
     g = _load_graph(args.graph)
     cfg = PunchConfig(
-        filter=_filter_from_args(args),
         assembly=AssemblyConfig(multistart=args.multistart, phi=args.phi),
         runtime=_runtime_from_args(args),
         parallel=_parallel_from_args(args),
@@ -290,7 +273,6 @@ def cmd_balanced(args) -> int:
         strong=args.strong,
         phi_unbalanced=args.phi,
         rebalance_attempts=args.rebalances,
-        filter=_filter_from_args(args),
         runtime=_runtime_from_args(args),
         parallel=_parallel_from_args(args),
         seed=args.seed,

@@ -111,11 +111,6 @@ class FilterConfig:
     tau: int = 5  # tiny-cut tau-merge threshold
     detect_tiny_cuts: bool = True
     detect_natural_cuts: bool = True
-    chunk_large_paths: bool = False  # pass-2 extension (off = paper behavior)
-    # which CutEngine chooses the natural cut per subproblem: "push_relabel"
-    # (paper's min cut, bit-identical default) or "flowcutter" (Pareto
-    # enumeration; see docs/CUT_ENGINES.md and repro.cutengine)
-    cut_engine: str = "push_relabel"
     # memoize min-cut solves by network fingerprint (bit-identical reuse;
     # see src/repro/perf/cut_cache.py)
     use_cut_cache: bool = True
@@ -130,14 +125,6 @@ class FilterConfig:
             raise ValueError("coverage must be >= 1")
         if self.cut_cache_entries < 1:
             raise ValueError("cut_cache_entries must be >= 1")
-        # late import: the registry package is lightweight and must not
-        # import configs back (engines only see CutProblem instances)
-        from ..cutengine import available_engines
-
-        if self.cut_engine not in available_engines():
-            raise ValueError(
-                f"cut_engine must be one of {available_engines()}, got {self.cut_engine!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,12 @@
-"""Pluggable cut engines for natural-cut detection.
+"""The min-cut solve behind natural-cut detection.
 
-``repro.cutengine`` decides *which separating cut* is reported for each
-contracted core/ring subproblem:
-
-- :class:`~repro.cutengine.push_relabel.PushRelabelEngine` (default) — the
-  paper's single min s-t cut; bit-identical to the pre-refactor behavior.
-- :class:`~repro.cutengine.flowcutter.FlowCutterEngine` — the sparsest
-  point of FlowCutter's Pareto front of (cut capacity, balance) (Hamann &
-  Strasser, *Graph Bisection with Pareto-Optimization*).  The front itself
-  is :func:`repro.flow.pareto.pareto_front`, which the FlowCutter baseline
-  partitioner (``repro.baselines.flowcutter``) runs too.
-
-Select with ``FilterConfig(cut_engine=...)`` or ``--cut-engine`` on the
-CLI; see ``docs/CUT_ENGINES.md``.  Importing this package registers every
-built-in engine; :func:`available_engines` is the axis the conformance
-suite (``tests/test_cutengine_conformance.py``) parametrizes over.
+:class:`~repro.cutengine.push_relabel.PushRelabelEngine` reports the paper's
+single minimum s-t cut for each contracted core/ring subproblem, walking the
+constant solve chain ``push_relabel → dinic → edmonds_karp`` when a solver
+fails.  FlowCutter's Pareto front lives in :mod:`repro.flow.pareto` and
+serves the FlowCutter baseline partitioner only.
 """
 
-from .base import CutEngine
-from .flowcutter import FlowCutterEngine
 from .push_relabel import PushRelabelEngine
-from .registry import available_engines, get_engine, register_engine
 
-__all__ = [
-    "CutEngine",
-    "PushRelabelEngine",
-    "FlowCutterEngine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-]
+__all__ = ["PushRelabelEngine"]

@@ -1,55 +1,52 @@
-"""The default engine: the paper's single min s-t cut per subproblem.
+"""The natural-cut solve: the paper's single min s-t cut per subproblem.
 
-:class:`PushRelabelEngine` adapts the historical solve path
-(:func:`~repro.filtering.cut_problem.solve_cut_problem_sides`) to the
-:class:`~repro.cutengine.base.CutEngine` interface.  It is **bit-identical
-to the pre-refactor behavior** by construction: the same function is called
-with the same arguments in the same fallback order, and the benchmark gate
-(``benchmarks/bench_cutengine.py``) pins whole-partition digests against the
-pre-refactor anchors to keep it that way.
+Natural-cut detection (``filtering/natural_cuts.py``) asks one
+:class:`PushRelabelEngine` for its solve chain once per contracted
+core/ring subproblem and walks it until an attempt returns.  The chain is
+the constant :data:`MIN_CUT_SOLVERS`: push-relabel first, then Dinic and
+Edmonds-Karp as independent fallbacks (``docs/RESILIENCE.md`` §2 item 4).
+Every attempt is a pure function of the problem and returns
+``(cut_value, source_side_mask)`` over its local vertices, so a
+:class:`~repro.perf.cut_cache.CutCache` hit equals a fresh solve and every
+executor marks the same cuts.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
-
-from .base import CutEngine, SolveFn
-from .registry import register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..filtering.cut_problem import CutProblem
 
-__all__ = ["PushRelabelEngine", "min_cut_chain"]
+__all__ = ["PushRelabelEngine", "MIN_CUT_SOLVERS", "SolveFn"]
+
+#: one attempt at solving a cut problem: ``problem -> (value, source_side)``
+SolveFn = Callable[["CutProblem"], Tuple[float, np.ndarray]]
 
 #: flow backends of the min-cut chain, in order: the paper's push-relabel,
 #: then the BFS-based reference solvers (slower, but independent code)
 MIN_CUT_SOLVERS = ("push_relabel", "dinic", "edmonds_karp")
 
 
-def min_cut_chain() -> Tuple[SolveFn, ...]:
-    """One exact min-cut attempt per backend of :data:`MIN_CUT_SOLVERS`."""
-    # local import: filtering imports this package at module load
-    from ..filtering.cut_problem import solve_cut_problem_sides
-
-    return tuple(
-        functools.partial(solve_cut_problem_sides, solver=solver) for solver in MIN_CUT_SOLVERS
-    )
-
-
-@register_engine
-class PushRelabelEngine(CutEngine):
+class PushRelabelEngine:
     """One minimum s-t cut per subproblem (paper Section 2 behavior)."""
 
-    name = "push_relabel"
-
     def __init__(self) -> None:
-        self._chain = min_cut_chain()
+        # local import: filtering imports this package at module load
+        from ..filtering.cut_problem import solve_cut_problem_sides
 
-    def solve(self, problem: "CutProblem") -> Tuple[float, np.ndarray]:
-        return self._chain[0](problem)
+        self._chain = tuple(
+            functools.partial(solve_cut_problem_sides, solver=solver)
+            for solver in MIN_CUT_SOLVERS
+        )
 
     def solve_chain(self, problem: "CutProblem") -> Tuple[SolveFn, ...]:
+        """Ordered solve attempts on ``problem``: the primary first, then fallbacks.
+
+        The chain is the same for every problem; callers look it up per
+        subproblem, so wrapping this method sees every solve.
+        """
         return self._chain

@@ -17,11 +17,8 @@ depends on.
 
 ``CutProblem.fingerprint`` is a canonical digest of the merged flow network
 (vertex count, endpoints, capacities) — two regions that contract to the
-same network have the same min-cut value and source side.
-:class:`~repro.perf.cut_cache.CutCache` keys on the fingerprint *salted
-with the cut engine* (:meth:`repro.cutengine.base.CutEngine.cache_key`):
-engines may legally return different valid cuts for the same network, so
-entries are never shared across them.
+same network have the same min-cut value and source side, so
+:class:`~repro.perf.cut_cache.CutCache` keys on the fingerprint alone.
 """
 
 from __future__ import annotations

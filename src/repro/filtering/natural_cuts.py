@@ -20,10 +20,10 @@ then solves the min-cut instances inline or on the run's worker pool.
 
 Resilience (see ``docs/RESILIENCE.md``): subproblems run through
 :func:`~repro.parallel.pool.resilient_map`, each min-cut solve falls back
-along its engine's solve chain when a solver raises, and an expired
-:class:`~repro.runtime.budget.RunBudget` stops the detection early — every
-skip, retry, fallback, and degradation is counted on
-:class:`NaturalCutStats`.  Skipping a subproblem is always safe: natural
+along the solve chain ``push_relabel → dinic → edmonds_karp`` when a solver
+raises, and an expired :class:`~repro.runtime.budget.RunBudget` stops the
+detection early — every skip, retry, fallback, and degradation is counted
+on :class:`NaturalCutStats`.  Skipping a subproblem is always safe: natural
 cuts only *suggest* fragment borders, and fragment extraction enforces the
 size bound unconditionally.
 """
@@ -39,7 +39,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.config import RuntimeConfig
-from ..cutengine import get_engine
+from ..cutengine import PushRelabelEngine
 from ..graph.graph import Graph
 from ..graph.traversal import BFSWorkspace, grow_bfs_region
 from ..lint.sanitizer import get_sanitizer
@@ -62,6 +62,9 @@ __all__ = [
 BATCHES_PER_WORKER = 4
 
 _MAX_ERROR_SAMPLES = 8
+
+#: the one min-cut solver; its solve chain is looked up per subproblem
+_MIN_CUT = PushRelabelEngine()
 
 
 @dataclass
@@ -87,7 +90,6 @@ class NaturalCutStats:
     # cut-cache accounting (src/repro/perf/cut_cache.py)
     cache_hits: int = 0  # subproblems answered from the CutCache
     cache_misses: int = 0  # subproblems that required a fresh solve
-    cut_engine: str = "push_relabel"  # engine that chose the cuts
     final_executor: str = "serial"  # tier that finished the work
     deadline_expired: bool = False  # detection stopped early on the budget
     error_samples: List[str] = field(default_factory=list)
@@ -224,24 +226,22 @@ def collect_cut_regions(
 def _solve_one(
     problem: CutProblem,
     fault_plan: Optional[FaultPlan] = None,
-    engine: str = "push_relabel",
 ) -> tuple[float, np.ndarray, int]:
-    """Solve one subproblem, falling back along the engine's solve chain.
+    """Solve one subproblem, falling back along the min-cut solve chain.
 
     Returns ``(cut_value, source_side_mask, fallbacks_used)``.  The mask is
     over the problem's *local* vertices — the driver recovers original cut
     edges via :meth:`CutProblem.cut_edges_of_side` — so the result can also
-    be stored in the :class:`~repro.perf.cut_cache.CutCache` (under the
-    engine's cache key) and reused for any problem with the same network
-    fingerprint solved by the same engine.  The chain comes from
-    :meth:`~repro.cutengine.base.CutEngine.solve_chain`: for the default
-    engine it is push-relabel, then Dinic, then Edmonds-Karp; other engines
-    append that min-cut chain as a safety net.  Fault injection
+    be stored in the :class:`~repro.perf.cut_cache.CutCache` under the
+    network fingerprint and reused for any problem with the same one.  The
+    chain comes from
+    :meth:`~repro.cutengine.push_relabel.PushRelabelEngine.solve_chain`:
+    push-relabel, then Dinic, then Edmonds-Karp.  Fault injection
     at the ``"flow"`` site is keyed by the problem's center and the position
     in the chain, so a plan with ``max_attempt=0`` fails the primary solve
     and lets the first fallback succeed.
     """
-    chain = get_engine(engine).solve_chain(problem)
+    chain = _MIN_CUT.solve_chain(problem)
     last_exc: Exception | None = None
     for pos, attempt in enumerate(chain):
         try:
@@ -290,7 +290,6 @@ def detect_natural_cuts(
     budget: RunBudget | None = None,
     cut_cache: CutCache | None = None,
     parallel: ParallelRuntime | None = None,
-    engine: str = "push_relabel",
 ) -> tuple[np.ndarray, NaturalCutStats]:
     """Run ``C`` coverage sweeps; returns ``(cut_edge_ids, stats)``.
 
@@ -317,21 +316,12 @@ def detect_natural_cuts(
     the union of per-region min cuts, which is independent of batching and
     completion order, so the result is bit-identical to the sequential path
     for the same ``rng``.
-
-    ``engine`` names a registered :class:`~repro.cutengine.base.CutEngine`
-    ("push_relabel" = the paper's min cut, bit-identical default;
-    "flowcutter" = Pareto-front enumeration).  Engine solves are pure
-    functions of the subproblem, so every backend/caching/ordering
-    guarantee above holds for every engine; cache entries are keyed
-    per-engine and can never cross engines.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     runtime = RuntimeConfig() if runtime is None else runtime
     if budget is None and runtime.time_budget is not None:
         budget = runtime.make_budget()
-    eng = get_engine(engine)  # fail fast on unknown names
     stats = NaturalCutStats()
-    stats.cut_engine = engine
     stats.final_executor = "serial" if parallel is None else parallel.backend
     marked = np.zeros(g.m, dtype=bool)
 
@@ -351,7 +341,7 @@ def detect_natural_cuts(
         if parallel is not None:
             _pooled_sweep(
                 g, U, alpha, f, rng, runtime, budget,
-                cut_cache, parallel, stats, marked, engine,
+                cut_cache, parallel, stats, marked,
             )
             continue
         with profile_span("natural_cuts.collect"):
@@ -359,7 +349,7 @@ def detect_natural_cuts(
         if cut_cache is not None:
             pending = []
             for prob in problems:
-                entry = cut_cache.get(eng.cache_key(prob))
+                entry = cut_cache.get(prob.fingerprint())
                 if entry is None:
                     pending.append(prob)
                 else:
@@ -368,7 +358,7 @@ def detect_natural_cuts(
             stats.cache_misses += len(pending)
         else:
             pending = problems
-        solve = functools.partial(_solve_one, fault_plan=runtime.fault_plan, engine=engine)
+        solve = functools.partial(_solve_one, fault_plan=runtime.fault_plan)
         with profile_span("natural_cuts.solve"):
             results, report = resilient_map(solve, pending, runtime=runtime, budget=budget)
         stats.absorb(report)
@@ -378,7 +368,7 @@ def detect_natural_cuts(
             value, side, fallbacks = out
             account(prob, value, side, fallbacks)
             if cut_cache is not None:
-                cut_cache.put(eng.cache_key(prob), value, side)
+                cut_cache.put(prob.fingerprint(), value, side)
     if budget is not None and budget.expired():
         stats.deadline_expired = True
     cut_ids = np.flatnonzero(marked).astype(np.int64)
@@ -398,7 +388,6 @@ def _pooled_sweep(
     parallel: ParallelRuntime,
     stats: NaturalCutStats,
     marked: np.ndarray,
-    engine: str = "push_relabel",
 ) -> None:
     """One coverage sweep on the shared-memory worker pool.
 
@@ -430,7 +419,6 @@ def _pooled_sweep(
         f=f,
         cache_entries=cut_cache.max_entries if cut_cache is not None else 0,
         fault_plan=runtime.fault_plan,
-        engine=engine,
     )
     timeout = runtime.subproblem_timeout
     if timeout is not None:

@@ -7,9 +7,7 @@ total size exceeds U."
 Road networks are full of such chains (roads between intersections).  A
 maximal chain is found by walking outward from any unvisited degree-2
 vertex; pure cycles (a whole component of degree-2 vertices) are handled as
-well.  With ``chunk_large=True`` an oversized chain is greedily cut into
-consecutive pieces of size at most ``U`` instead of being skipped — a strict
-generalization we keep off by default to match the paper.
+well.  A chain larger than ``U`` stays as it is.
 
 The production scan is vectorized: chain membership comes from one connected
 -components call on the degree-2 subgraph, and the per-chain representative
@@ -17,8 +15,7 @@ The production scan is vectorized: chain membership comes from one connected
 simultaneously, one frontier-at-a-time step per iteration.  It is
 bit-identical to the retained scalar reference
 (:func:`degree_two_labels_reference`) — same groups, same representatives,
-same counters.  ``chunk_large=True`` needs the full path order and keeps
-using the scalar walk.
+same counters.
 """
 
 from __future__ import annotations
@@ -97,15 +94,8 @@ def _chain_representatives(g: Graph, deg2: np.ndarray, starts: np.ndarray,
     return reps
 
 
-def degree_two_labels(
-    g: Graph, U: int, chunk_large: bool = False
-) -> tuple[np.ndarray, PathStats]:
+def degree_two_labels(g: Graph, U: int) -> tuple[np.ndarray, PathStats]:
     """Compute contraction labels for pass 2. Returns ``(labels, stats)``."""
-    if chunk_large:
-        # chunking needs the exact path order of every chain; the scalar
-        # walk provides it and this mode is off by default
-        return degree_two_labels_reference(g, U, chunk_large=True)
-
     labels = np.arange(g.n, dtype=np.int64)
     stats = PathStats()
     deg2 = g.degrees == 2
@@ -159,13 +149,10 @@ def degree_two_labels(
     return labels, stats
 
 
-def degree_two_labels_reference(
-    g: Graph, U: int, chunk_large: bool = False
-) -> tuple[np.ndarray, PathStats]:
+def degree_two_labels_reference(g: Graph, U: int) -> tuple[np.ndarray, PathStats]:
     """Scalar (walk-at-a-time) reference for :func:`degree_two_labels`.
 
-    Retained for equivalence tests, the hot-path benchmark, and the
-    ``chunk_large`` mode (which needs full path order).
+    Retained for equivalence tests and the hot-path benchmark.
     """
     labels = np.arange(g.n, dtype=np.int64)
     stats = PathStats()
@@ -179,25 +166,10 @@ def degree_two_labels_reference(
             continue
         chain = _walk(g, v, deg2, visited)
         stats.chains_found += 1
-        sizes = g.vsize[chain]
-        total = int(sizes.sum())
-        if total <= U:
+        if int(g.vsize[chain].sum()) <= U:
             labels[chain] = chain[0]
             stats.chains_contracted += 1
             stats.vertices_removed += len(chain) - 1
-        elif chunk_large:
-            # greedy consecutive chunks, each of size <= U
-            acc = 0
-            rep = chain[0]
-            for u, s in zip(chain, sizes):
-                s = int(s)
-                if acc + s > U:
-                    rep = u
-                    acc = 0
-                labels[u] = rep
-                acc += s
-            stats.chains_contracted += 1
-            stats.vertices_removed += len(chain) - len(np.unique(labels[chain]))
         else:
             stats.chains_skipped += 1
     return labels, stats

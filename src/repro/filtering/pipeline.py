@@ -50,8 +50,6 @@ class FilterResult:
     fragment_stats: FragmentStats
     time_tiny: float = 0.0
     time_natural: float = 0.0
-    # engine that chose the natural cuts (repro.cutengine registry name)
-    cut_engine: str = "push_relabel"
 
     @property
     def reduction_factor(self) -> float:
@@ -61,7 +59,7 @@ class FilterResult:
 
     def run_report(self) -> dict:
         """Resilience incidents of the filtering phase, plus the
-        informational ``"filtering"`` section (engine + solve counts)."""
+        informational ``"filtering"`` section (solve counts)."""
         report: dict = {}
         if self.tiny_stats is not None and self.tiny_stats.deadline_expired:
             report["tiny_deadline_expired"] = True
@@ -69,7 +67,6 @@ class FilterResult:
         if self.natural_stats is not None:
             report.update(self.natural_stats.incidents())
             report["filtering"] = {
-                "cut_engine": self.cut_engine,
                 "problems_solved": self.natural_stats.problems_solved,
                 "cut_edges_marked": self.natural_stats.cut_edges_marked,
             }
@@ -143,7 +140,6 @@ def run_filtering(
                 chain,
                 U,
                 tau=config.tau,
-                chunk_large_paths=config.chunk_large_paths,
                 rng=rng,
                 budget=budget,
             )
@@ -166,7 +162,6 @@ def run_filtering(
                 budget=budget,
                 cut_cache=cut_cache,
                 parallel=parallel,
-                engine=config.cut_engine,
             )
         with profile_span("filter.fragments"):
             labels, frag_stats = fragment_labels(chain.current, cut_ids, U)
@@ -189,5 +184,4 @@ def run_filtering(
         fragment_stats=frag_stats,
         time_tiny=time_tiny,
         time_natural=time_natural,
-        cut_engine=config.cut_engine,
     )

@@ -43,7 +43,6 @@ def run_tiny_cuts(
     chain: ContractionChain,
     U: int,
     tau: int = 5,
-    chunk_large_paths: bool = False,
     rng: np.random.Generator | None = None,
     budget: RunBudget | None = None,
 ) -> TinyCutStats:
@@ -75,9 +74,7 @@ def run_tiny_cuts(
         stats.n_after_pass2 = stats.n_after_pass3 = chain.current.n
         return stats
     with profile_span("tiny_cuts.pass2_paths"):
-        labels, stats.pass2 = degree_two_labels(
-            chain.current, U, chunk_large=chunk_large_paths
-        )
+        labels, stats.pass2 = degree_two_labels(chain.current, U)
         chain.apply(labels)
     stats.n_after_pass2 = chain.current.n
     stats.passes_run = 2

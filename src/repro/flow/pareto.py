@@ -10,12 +10,9 @@ resume augmenting.  Each piercing step can only increase the flow, so the
 cuts have nondecreasing capacity along the balance axis, and the first
 front point is a minimum s-t cut.
 
-:func:`pareto_front` is the one implementation of that loop.  The
-``flowcutter`` cut engine runs it on each contracted natural-cut instance
-with unit weights and no RNG (piercing takes the smallest vertex id, so the
-front is a pure function of the network); the FlowCutter baseline
-partitioner runs it on whole graphs with vertex sizes as weights and
-random piercing.
+:func:`pareto_front` is the one implementation of that loop; the FlowCutter
+baseline partitioner (:mod:`repro.baselines.flowcutter`) runs it on whole
+graphs with vertex sizes as weights and random piercing.
 
 The augmentation is BFS-based (Edmonds-Karp style) and incremental: the
 flow is kept and extended across piercing steps instead of recomputed.
@@ -52,11 +49,6 @@ class ParetoPoint:
         """``small_side / total_size`` in ``[0, 0.5]``; higher is more balanced."""
         return self.small_side / self.total_size
 
-    @property
-    def sparsity(self) -> float:
-        """Capacity per unit of lighter-side weight."""
-        return self.value / max(1.0, self.small_side)
-
 
 def pareto_front(
     net: FlowNetwork,
@@ -64,18 +56,16 @@ def pareto_front(
     sink: int,
     weights: np.ndarray,
     balance_goal: float,
-    max_cut_factor: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> List[ParetoPoint]:
     """The nondominated (capacity, balance) front of ``source``-``sink`` cuts.
 
     Balance is measured in ``weights`` (one per vertex).  Enumeration stops
     at the first point whose lighter side carries ``balance_goal`` of the
-    total weight, once the flow exceeds ``max_cut_factor`` times the minimum
-    cut, or when the lighter side has nothing left to pierce.  The piercing
-    vertex is a neighbor of the lighter side that preferably opens no
-    augmenting path; ``rng`` draws it with probability proportional to its
-    arcs into that side, and without ``rng`` the smallest id wins.
+    total weight, or when the lighter side has nothing left to pierce.  The
+    piercing vertex is a neighbor of the lighter side that preferably opens
+    no augmenting path; ``rng`` draws it with probability proportional to
+    its arcs into that side.
 
     Returns the front sorted by balance, with capacity strictly increasing;
     the cheapest point is a minimum s-t cut.
@@ -92,14 +82,9 @@ def pareto_front(
 
     points: List[ParetoPoint] = []
     value = 0.0
-    min_value: Optional[float] = None
     # every piercing step moves >= 1 vertex into a terminal set
     for _ in range(n):
         value += _augment(net, flow, in_s, in_t)
-        if min_value is None:
-            min_value = value
-        if points and value > max_cut_factor * max(min_value, 1e-12):
-            break  # too expensive to ever be chosen
         residual = net.arc_cap - flow > 0
         source_reach = _bfs(net, residual, in_s)[0]
         sink_reach = _bfs(net, _reversed_pairs(residual), in_t)[0]
@@ -199,15 +184,15 @@ def _pick_pierce(
     side: np.ndarray,
     forbidden: np.ndarray,
     avoid: np.ndarray,
-    rng: Optional[np.random.Generator],
+    rng: np.random.Generator,
 ) -> int:
     """Choose the piercing vertex: the head of an arc leaving ``side``.
 
     Preference order (FlowCutter's "avoid augmenting paths" heuristic):
     heads outside ``avoid`` (the other side's reachable set) first, then
-    any head; within a class ``rng`` draws one leaving arc uniformly, or
-    the smallest id wins.  ``forbidden`` (the other terminal set) is never
-    pierced.  Returns ``-1`` when no candidate exists.
+    any head; within a class ``rng`` draws one leaving arc uniformly.
+    ``forbidden`` (the other terminal set) is never pierced.  Returns ``-1``
+    when no candidate exists.
     """
     head = net.arc_to
     candidates = head[side[arc_from] & ~side[head] & ~forbidden[head]]
@@ -215,7 +200,7 @@ def _pick_pierce(
         return -1
     preferred = candidates[~avoid[candidates]]
     pool = preferred if len(preferred) else candidates
-    return int(pool.min() if rng is None else pool[rng.integers(len(pool))])
+    return int(pool[rng.integers(len(pool))])
 
 
 def _prune_dominated(points: List[ParetoPoint]) -> List[ParetoPoint]:

@@ -5,7 +5,7 @@ Two modes share one reporter and exit-code contract:
 - **file mode** (default): per-file rules over the given paths;
 - **project mode** (``--project``): the whole-project analysis — per-file
   rules plus call-graph dataflow (REPRO110–113), architecture layering
-  (REPRO114), and twin/registry contracts (REPRO115–116) — with the
+  (REPRO114), and twin contracts (REPRO115) — with the
   findings baseline applied (``lint_baseline.json`` next to
   ``pyproject.toml`` unless overridden).
 
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--project",
         action="store_true",
         help="whole-project analysis: call-graph dataflow, layering DAG, "
-        "twin/registry contracts, findings baseline",
+        "twin contracts, findings baseline",
     )
     parser.add_argument(
         "--baseline",

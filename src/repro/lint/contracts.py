@@ -1,12 +1,9 @@
-"""Cross-file contract checks (REPRO115–116): twins and engine registry.
+"""Cross-file contract check (REPRO115): twin kernels.
 
 The repo's performance story rests on *twin kernels*: every vectorized hot
 path keeps a scalar ``*_reference`` implementation, and a test imports both
-and pins bit-identity.  The registry story is analogous: every
-``@register_engine`` class must implement the full
-:class:`~repro.cutengine.base.CutEngine` surface and be exercised by the
-conformance suite.  Both contracts span files — a kernel lives in ``src``,
-its twin gate in ``tests`` — so no per-file rule can see them drift.
+and pins bit-identity.  The contract spans files — a kernel lives in
+``src``, its twin gate in ``tests`` — so no per-file rule can see it drift.
 
 REPRO115 (twin-drift)
     For every ``X_reference`` definition: a twin ``X`` (or ``_X``) must
@@ -15,25 +12,17 @@ REPRO115 (twin-drift)
     either side must carry defaults), and at least one test module must
     reference **both** names — otherwise the bit-identity contract is
     unenforced and the pair can silently drift.
-
-REPRO116 (engine-conformance)
-    Every ``@register_engine`` class must define or inherit ``solve`` and
-    ``solve_chain``, declare a non-empty ``name``, and be covered by a
-    conformance-suite parametrization: either a
-    ``pytest.mark.parametrize`` axis built from ``available_engines()``
-    (auto-covers future engines) or one that literally lists the engine's
-    name.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .callgraph import MODULE_BODY, ModuleInfo, ProjectIndex
+from .callgraph import MODULE_BODY, ProjectIndex
 from .rules import Violation
 
-__all__ = ["check_twin_drift", "check_engine_conformance", "test_identifier_index"]
+__all__ = ["check_twin_drift", "test_identifier_index"]
 
 
 def _violation(rule: str, path: str, node: ast.AST, message: str) -> Violation:
@@ -150,143 +139,3 @@ def check_twin_drift(
                         f"'{fn.name}'; the bit-identity contract for this "
                         "twin pair is unenforced",
                     )
-
-
-# ---------------------------------------------------------------------------
-# REPRO116: engine registry conformance
-# ---------------------------------------------------------------------------
-
-_ENGINE_SURFACE = ("solve", "solve_chain")
-
-
-def _registered_engines(index: ProjectIndex) -> List[Tuple[ModuleInfo, str, ast.ClassDef, str]]:
-    """(module, class qualname, class node, engine name) per @register_engine."""
-    out: List[Tuple[ModuleInfo, str, ast.ClassDef, str]] = []
-    for mod_name in sorted(index.modules):
-        mod = index.modules[mod_name]
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorated = False
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                leaf = target.attr if isinstance(target, ast.Attribute) else (
-                    target.id if isinstance(target, ast.Name) else ""
-                )
-                if leaf == "register_engine":
-                    decorated = True
-            if not decorated:
-                continue
-            engine_name = ""
-            for stmt in node.body:
-                targets: List[ast.expr] = []
-                value: Optional[ast.expr] = None
-                if isinstance(stmt, ast.Assign):
-                    targets, value = stmt.targets, stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    targets, value = [stmt.target], stmt.value
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "name"
-                        and isinstance(value, ast.Constant)
-                        and isinstance(value.value, str)
-                    ):
-                        engine_name = value.value
-            out.append((mod, node.name, node, engine_name))
-    return out
-
-
-def _class_provides(index: ProjectIndex, mod: ModuleInfo, cls: str, method: str) -> bool:
-    return index._resolve_method(mod, cls, method) is not None
-
-
-def _parametrized_engine_coverage(
-    test_index: ProjectIndex,
-) -> Tuple[bool, Set[str], bool]:
-    """(found_any_parametrize, literal names covered, covers_all_registered).
-
-    Scans conformance-style test modules for
-    ``pytest.mark.parametrize("engine...", X)`` axes.  ``X`` referencing
-    ``available_engines`` (directly or through a module-level assignment)
-    covers every registered engine by construction.
-    """
-    found = False
-    names: Set[str] = set()
-    covers_all = False
-    for mod in test_index.modules.values():
-        assigns: Dict[str, ast.expr] = {}
-        for stmt in mod.tree.body:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name):
-                    assigns[target.id] = stmt.value
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "parametrize"):
-                continue
-            if not node.args or not isinstance(node.args[0], ast.Constant):
-                continue
-            argnames = node.args[0].value
-            if not (isinstance(argnames, str) and "engine" in argnames):
-                continue
-            if len(node.args) < 2:
-                continue
-            found = True
-            axis: ast.AST = node.args[1]
-            if isinstance(axis, ast.Name) and axis.id in assigns:
-                axis = assigns[axis.id]
-            for sub in ast.walk(axis):
-                if isinstance(sub, ast.Name) and sub.id == "available_engines":
-                    covers_all = True
-                elif isinstance(sub, ast.Attribute) and sub.attr == "available_engines":
-                    covers_all = True
-                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                    names.add(sub.value)
-    return found, names, covers_all
-
-
-def check_engine_conformance(
-    index: ProjectIndex,
-    test_index: Optional[ProjectIndex],
-    display_paths: Dict[str, str],
-) -> Iterator[Violation]:
-    """REPRO116: registered engines implement the surface and are suite-covered."""
-    engines = _registered_engines(index)
-    if not engines:
-        return
-    coverage: Optional[Tuple[bool, Set[str], bool]] = None
-    if test_index is not None:
-        coverage = _parametrized_engine_coverage(test_index)
-    for mod, cls, node, engine_name in engines:
-        path = display_paths.get(mod.name, str(mod.path))
-        if not engine_name:
-            yield _violation(
-                "REPRO116", path, node,
-                f"engine class '{cls}' has no literal non-empty 'name' class "
-                "attribute; the registry and cache tokens key on it",
-            )
-        for method in _ENGINE_SURFACE:
-            if not _class_provides(index, mod, cls, method):
-                yield _violation(
-                    "REPRO116", path, node,
-                    f"engine class '{cls}' neither defines nor inherits "
-                    f"'{method}'; the CutEngine surface is incomplete",
-                )
-        if coverage is not None and engine_name:
-            found, literal_names, covers_all = coverage
-            if not found:
-                yield _violation(
-                    "REPRO116", path, node,
-                    f"no conformance-suite parametrize axis found for engine "
-                    f"'{engine_name}'; the registry-driven suite is missing",
-                )
-            elif not covers_all and engine_name not in literal_names:
-                yield _violation(
-                    "REPRO116", path, node,
-                    f"engine '{engine_name}' is not covered by any "
-                    "conformance parametrization (axis neither uses "
-                    "available_engines() nor lists it)",
-                )

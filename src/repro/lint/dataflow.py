@@ -28,9 +28,8 @@ REPRO113
     A :class:`~repro.perf.cut_cache.CutCache` ``get``/``put`` whose key is
     provably **not** fingerprint-derived (a literal, f-string,
     ``str``/``repr``/``hash`` product, or a composition of those).  Cache
-    keys must come from ``CutProblem.fingerprint()`` /
-    ``CutEngine.cache_key()`` — anything else can collide across distinct
-    networks and serve a wrong cut, which corrupts partitions silently.
+    keys must come from ``CutProblem.fingerprint()`` — anything else can
+    collide across distinct networks and serve a wrong cut, which corrupts partitions silently.
 
 All four are approximations over an AST-level call graph; vetted false
 positives are suppressed with ``# repro: noqa(RULE)`` plus a rationale, or
@@ -67,7 +66,7 @@ _GENERATOR_ANN = {"Generator"}
 _GENERATOR_CTORS = {"numpy.random.default_rng", "numpy.random.Generator"}
 
 #: key expressions containing one of these calls are fingerprint-derived
-_FINGERPRINT_CALLS = {"fingerprint", "cache_key", "metric_fingerprint"}
+_FINGERPRINT_CALLS = {"fingerprint", "metric_fingerprint"}
 
 
 def shortest_paths_from(
@@ -449,7 +448,7 @@ def check_cutcache_keys(
                         "REPRO113", mod, sub,
                         f"CutCache.{func.attr}() keyed by a non-fingerprint "
                         "expression; keys must derive from "
-                        "CutProblem.fingerprint()/CutEngine.cache_key() or "
+                        "CutProblem.fingerprint() or "
                         "colliding networks will serve wrong cuts",
                         path,
                     )

@@ -6,7 +6,7 @@ Runs, over one shared :class:`~.callgraph.ProjectIndex`:
 2. the interprocedural dataflow passes (REPRO110–113, :mod:`.dataflow`);
 3. the architecture layering gates (REPRO114, :mod:`.layers`) against the
    ``[tool.repro.layers]`` declaration in the nearest ``pyproject.toml``;
-4. the cross-file contract checks (REPRO115–116, :mod:`.contracts`),
+4. the cross-file twin-kernel check (REPRO115, :mod:`.contracts`),
    indexing the sibling ``tests/`` tree for twin/conformance coverage;
 
 then applies per-line ``# repro: noqa`` suppressions and, finally, the
@@ -28,7 +28,7 @@ from .baseline import (
     load_baseline,
 )
 from .callgraph import MODULE_BODY, FuncKey, ProjectIndex, build_project_index
-from .contracts import check_engine_conformance, check_twin_drift
+from .contracts import check_twin_drift
 from .dataflow import (
     check_cutcache_keys,
     check_generator_payloads,
@@ -172,8 +172,6 @@ def analyze_project(
             result.errors.append(LintError(path=path, message=message))
     if want("REPRO115"):
         project_violations.extend(check_twin_drift(index, test_index, display))
-    if want("REPRO116"):
-        project_violations.extend(check_engine_conformance(index, test_index, display))
 
     # -- noqa suppression for project findings ---------------------------
     kept: List[Violation] = []

@@ -732,10 +732,6 @@ PROJECT_RULES: Tuple[ProjectRuleInfo, ...] = (
         "REPRO115", "twin-drift",
         "vectorized kernel and its *_reference twin drifted or lack a shared test",
     ),
-    ProjectRuleInfo(
-        "REPRO116", "engine-conformance",
-        "registered cut engine incomplete or missing conformance coverage",
-    ),
 )
 
 PROJECT_RULES_BY_ID: Dict[str, ProjectRuleInfo] = {r.id: r for r in PROJECT_RULES}

@@ -16,10 +16,11 @@ the only place in the package that constructs an executor:
 - :class:`ParallelRuntime` — the per-run object drivers thread through the
   phases: it creates the ``ProcessPoolExecutor`` (or ``ThreadPoolExecutor``)
   once per run, owns every :class:`~.shared_graph.SharedGraph` export,
-  merges worker-side cache counters and profiler spans back into the
-  parent, and — when the run's :class:`~repro.core.config.RuntimeConfig`
-  sets ``supervise`` — watchdogs its worker processes and respawns a
-  collapsed pool within the restart budget;
+  merges worker-side cache counters and profiler spans and counters back
+  into the parent, and — when the run's
+  :class:`~repro.core.config.RuntimeConfig` sets ``supervise`` — watchdogs
+  its worker processes and respawns a collapsed pool within the restart
+  budget;
 - :func:`resilient_map` — the one dispatcher: every subproblem map runs on
   the runtime's pool or inline, with the retry, timeout and degradation
   policy of ``docs/RESILIENCE.md``.
@@ -492,9 +493,7 @@ class ParallelRuntime:
             return
         self.cache_hits += int(stats.get("cache_hits", 0))
         self.cache_misses += int(stats.get("cache_misses", 0))
-        spans = stats.get("spans")
-        if spans:
-            get_profiler().merge(spans)
+        get_profiler().merge(stats.get("spans", {}), stats.get("counters", {}))
 
     def report(self) -> dict:
         """``run_report()["parallel"]``: backend and worker count, then counters."""

@@ -11,12 +11,12 @@ export once per worker.
 
 Each task returns ``(payload, stats)`` where ``stats`` carries the
 worker-local telemetry deltas — per-worker :class:`CutCache` hit/miss
-counts and :class:`PhaseProfiler` span deltas — that the driver merges
-back into the parent run report via
-:meth:`~.pool.ParallelRuntime.note_batch`.  Span deltas are only reported
-from real pool workers (``in_worker()``); on threads and inline the work
-already runs in the driver process, where the global profiler records it
-directly, and reporting deltas would double-count.
+counts and :class:`PhaseProfiler` span and counter deltas — that the driver
+merges back into the parent run report via
+:meth:`~.pool.ParallelRuntime.note_batch`.  Profiler deltas are only
+reported from real pool workers (``in_worker()``); on threads and inline
+the work already runs in the driver process, where the global profiler
+records it directly, and reporting deltas would double-count.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.traversal import BFSWorkspace, grow_bfs_region
-from ..perf.timers import get_profiler, profile_span, span_delta
+from ..perf.timers import counter_delta, get_profiler, profile_span, span_delta
 from ..runtime.faults import FaultPlan
 from .pool import in_worker, resolve_graph, worker_cut_cache
 from .shared_graph import SharedGraphHandle
@@ -45,15 +45,20 @@ class _TaskStats:
 
     def __init__(self) -> None:
         self._prof = get_profiler()
-        self._track_spans = in_worker() and self._prof.enabled
-        self._before = self._prof.snapshot() if self._track_spans else None
+        self._track = in_worker() and self._prof.enabled
+        if self._track:
+            self._spans = self._prof.snapshot()
+            self._counters = dict(self._prof.counters)
         self.out: dict = {}
 
     def finish(self) -> dict:
-        if self._track_spans:
-            spans = span_delta(self._before, self._prof.snapshot())
+        if self._track:
+            spans = span_delta(self._spans, self._prof.snapshot())
             if spans:
                 self.out["spans"] = spans
+            counters = counter_delta(self._counters, self._prof.counters)
+            if counters:
+                self.out["counters"] = counters
         return self.out
 
 
@@ -66,28 +71,24 @@ def solve_center_batch(
     f: float,
     cache_entries: int = 0,
     fault_plan: Optional[FaultPlan] = None,
-    engine: str = "push_relabel",
 ) -> Tuple[List[Optional[tuple]], dict]:
     """Solve the cut subproblems of one batch of BFS centers.
 
     Mirrors the paper's parallel stage: the driver picked the centers
     sequentially; the worker re-grows each BFS region (deterministic given
     the center — it does not depend on the driver's covered mask), builds
-    the contracted flow network, and solves it with the named
-    :class:`~repro.cutengine.base.CutEngine`, consulting this worker's
-    :class:`CutCache` first (keyed per-engine, so long-lived worker caches
-    can never serve one engine's cut to another).  Returns one entry per
-    center: ``(center, cut_value, cut_edge_ids, fallbacks_used)`` with
-    *global* edge ids, or ``None`` when the region yields no cut problem.
+    the contracted flow network, and solves its min cut, consulting this
+    worker's :class:`CutCache` first (keyed by the network fingerprint).
+    Returns one entry per center: ``(center, cut_value, cut_edge_ids,
+    fallbacks_used)`` with *global* edge ids, or ``None`` when the region
+    yields no cut problem.
     The driver only ORs the edge ids into the marked set — a union, so the
     detected cuts are independent of batching and completion order.
     """
-    from ..cutengine import get_engine
     from ..filtering.cut_problem import build_cut_problem
     from ..filtering.natural_cuts import _solve_one
 
     g = resolve_graph(handle)
-    eng = get_engine(engine)
     tstats = _TaskStats()
     max_size = max(2, int(math.ceil(alpha * U)))
     core_size = max(1, int(math.ceil(alpha * U / f)))
@@ -106,14 +107,14 @@ def solve_center_batch(
         if prob is None:
             results.append(None)
             continue
-        entry = cache.get(eng.cache_key(prob)) if cache is not None else None
+        entry = cache.get(prob.fingerprint()) if cache is not None else None
         if entry is not None:
             value, side, fallbacks = entry[0], entry[1], 0
         else:
             with profile_span("natural_cuts.solve.worker"):
-                value, side, fallbacks = _solve_one(prob, fault_plan, engine)
+                value, side, fallbacks = _solve_one(prob, fault_plan)
             if cache is not None:
-                cache.put(eng.cache_key(prob), value, side)
+                cache.put(prob.fingerprint(), value, side)
         edge_ids = np.asarray(prob.cut_edges_of_side(side), dtype=np.int64)
         results.append((center, float(value), edge_ids, int(fallbacks)))
 

@@ -27,6 +27,7 @@ __all__ = [
     "profile_span",
     "profile_count",
     "span_delta",
+    "counter_delta",
 ]
 
 
@@ -42,6 +43,15 @@ def span_delta(before: Dict[str, tuple], after: Dict[str, tuple]) -> Dict[str, t
         if calls > k0:
             out[name] = (wall - w0, cpu - c0, calls - k0)
     return out
+
+
+def counter_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
+    """Per-counter increments between two copies of ``PhaseProfiler.counters``."""
+    return {
+        name: value - before.get(name, 0)
+        for name, value in after.items()
+        if value != before.get(name, 0)
+    }
 
 
 class PhaseProfiler:
@@ -90,13 +100,17 @@ class PhaseProfiler:
         """Immutable copy of the span table, for :func:`span_delta`."""
         return {name: (rec[0], rec[1], rec[2]) for name, rec in self.spans.items()}
 
-    def merge(self, spans: Dict[str, tuple]) -> None:
-        """Fold span deltas from another profiler (e.g. a pool worker) in.
+    def merge(self, spans: Dict[str, tuple], counters: Dict[str, int]) -> None:
+        """Fold span and counter deltas from another profiler (e.g. a pool worker) in.
 
         ``spans`` maps name -> ``(wall_s, cpu_s, calls)`` increments, the
-        shape produced by :func:`span_delta`.  Merging is additive, so the
-        parent's report covers work done in worker processes too.
+        shape produced by :func:`span_delta`; ``counters`` maps name ->
+        increment, the shape produced by :func:`counter_delta`.  Merging is
+        additive, so the parent's report covers work done in worker
+        processes too.
         """
+        for name, inc in counters.items():
+            self.counters[name] = self.counters.get(name, 0) + inc
         for name, (wall, cpu, calls) in spans.items():
             rec = self.spans.get(name)
             if rec is None:

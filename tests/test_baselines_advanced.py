@@ -1,4 +1,4 @@
-"""Tests for the advanced baselines: FlowCutter, spectral, Kernighan-Lin."""
+"""Tests for the advanced baselines: FlowCutter and spectral."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.baselines import (
     fiedler_vector,
     flowcutter_bisect,
     flowcutter_partition,
-    kl_refine,
-    kl_refine_pair,
     spectral_bisect,
     spectral_partition,
 )
@@ -125,41 +123,3 @@ class TestSpectral:
         first = spectral_partition(g, 4)
         for _ in range(3):
             assert np.array_equal(spectral_partition(g, 4), first)
-
-
-class TestKernighanLin:
-    def test_repairs_interleaved_split(self):
-        g = barbell(8)
-        bad = np.asarray([0, 1] * 8)
-        refined, gain = kl_refine_pair(g, bad, 0, 1)
-        assert gain > 0
-        assert cut_weight(g, refined) < cut_weight(g, bad)
-
-    def test_preserves_cell_sizes(self):
-        g = random_connected_graph(30, 40, seed=4)
-        labels = np.asarray([0, 1] * 15)
-        refined, _ = kl_refine_pair(g, labels, 0, 1)
-        assert (refined == 0).sum() == 15
-        assert (refined == 1).sum() == 15
-
-    def test_never_worsens(self):
-        for seed in range(3):
-            g = random_connected_graph(24, 30, seed=seed)
-            rng = np.random.default_rng(seed)
-            labels = rng.integers(0, 3, size=g.n)
-            refined = kl_refine(g, labels, rng, rounds=1)
-            assert cut_weight(g, refined) <= cut_weight(g, labels) + 1e-9
-
-    def test_multiway(self):
-        g = grid_with_walls(6, 18, wall_cols=[8])
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 3, size=g.n)
-        refined = kl_refine(g, labels, rng)
-        assert cut_weight(g, refined) < cut_weight(g, labels)
-
-    def test_local_optimum_stops(self):
-        g = barbell(6)
-        perfect = np.asarray([0] * 6 + [1] * 6)
-        refined, gain = kl_refine_pair(g, perfect, 0, 1)
-        assert gain == 0
-        assert np.array_equal(refined, perfect)

@@ -1,10 +1,8 @@
-"""Edge-case tests: buffoon failure paths, ascii maps on road networks,
-and graph I/O error handling."""
+"""Edge-case tests: buffoon failure paths and graph I/O error handling."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.ascii_map import ascii_partition_map
 from repro.graph.io import read_dimacs_gr
 
 
@@ -22,22 +20,6 @@ class TestBuffoonEdgeCases:
         # everything can merge into one cell; the multilevel coarsening
         # collapses to few cells
         assert len(np.unique(labels)) <= 4
-
-
-class TestAsciiMapOnRoadNetwork:
-    def test_partition_map_shows_cells(self, road_small):
-        from repro import PunchConfig, run_punch
-        from repro.core.config import AssemblyConfig
-
-        res = run_punch(
-            road_small, 200, PunchConfig(assembly=AssemblyConfig(phi=2), seed=0)
-        )
-        art = ascii_partition_map(road_small, res.partition.labels, width=50, height=14)
-        lines = art.splitlines()
-        assert len(lines) == 14
-        glyphs = set("".join(lines)) - {" "}
-        # several distinct cells visible
-        assert len(glyphs) >= min(3, res.num_cells)
 
 
 class TestIOErrorHandling:

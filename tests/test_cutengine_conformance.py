@@ -1,13 +1,12 @@
-"""Engine-conformance suite for the pluggable CutEngine interface.
+"""Conformance suite for the natural-cut min-cut engine.
 
-Every engine in the :mod:`repro.cutengine` registry is held to the same
-contract (see ``repro/cutengine/base.py``): it must return a *valid* s-t
-cut with the exact crossing capacity as its value, be a pure deterministic
-function of the problem, survive cache round-trips bit-identically, expose
-a working fallback chain, agree across executors, and run sanitizer-clean.
-The suite parametrizes over :func:`repro.cutengine.available_engines`, so
-any future engine registered via :func:`repro.cutengine.register_engine`
-is picked up automatically with zero test changes.
+:class:`repro.cutengine.PushRelabelEngine` is held to the contract
+natural-cut detection relies on: every attempt of its solve chain returns a
+*valid* s-t cut with the exact crossing capacity as its value, solves are
+pure deterministic functions of the problem, survive cache round-trips
+bit-identically, agree across executors, and run sanitizer-clean.  The
+suite parametrizes over :data:`ENGINES`, so another engine added there is
+held to the same checks.
 """
 
 from __future__ import annotations
@@ -15,17 +14,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cutengine import (
-    CutEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-)
+from repro.cutengine import PushRelabelEngine
 from repro.filtering.natural_cuts import collect_cut_problems, detect_natural_cuts
 from repro.perf.cut_cache import CutCache
 from repro.synthetic import road_network
 
-ENGINES = available_engines()
+#: the engines under test, with the ids their results are reported under
+ENGINES = [pytest.param(PushRelabelEngine(), id="push_relabel")]
+
+
+def solve(engine, problem):
+    """The primary attempt of ``engine``'s solve chain."""
+    return engine.solve_chain(problem)[0](problem)
 
 
 def crossing_capacity(problem, side) -> float:
@@ -55,28 +55,19 @@ def problems():
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestEngineConformance:
-    """Contract checks applied uniformly to every registered engine."""
-
-    def test_registered_and_instantiable(self, engine):
-        eng = get_engine(engine)
-        assert isinstance(eng, CutEngine)
-        assert eng.name == engine
-        # singleton per name — detect_natural_cuts resolves by name each call
-        assert get_engine(engine) is eng
+    """Contract checks applied uniformly to every engine under test."""
 
     def test_returns_valid_cut(self, engine, problems):
-        eng = get_engine(engine)
         for prob in problems:
-            value, side = eng.solve(prob)
+            value, side = solve(engine, prob)
             assert_valid_cut(prob, value, side)
             assert value > 0
 
     def test_sides_disjoint_and_exhaustive(self, engine, problems):
         # the mask partitions the local vertices: no vertex unassigned, and
         # recovering cut edges never yields an edge internal to one side
-        eng = get_engine(engine)
         for prob in problems:
-            _, side = eng.solve(prob)
+            _, side = solve(engine, prob)
             cut = prob.cut_edges_of_side(side)
             lu = prob.cand_lu[np.isin(prob.cand_edges, cut)]
             lv = prob.cand_lv[np.isin(prob.cand_edges, cut)]
@@ -84,20 +75,18 @@ class TestEngineConformance:
 
     def test_deterministic_replay(self, engine, problems):
         # solves are pure functions of the problem: bit-identical on replay
-        eng = get_engine(engine)
         for prob in problems:
-            v1, s1 = eng.solve(prob)
-            v2, s2 = eng.solve(prob)
+            v1, s1 = solve(engine, prob)
+            v2, s2 = solve(engine, prob)
             assert v1 == v2
             assert np.array_equal(s1, s2)
 
     def test_cache_round_trip_bit_identical(self, engine, problems):
-        eng = get_engine(engine)
         cache = CutCache(1024)
         for prob in problems:
-            key = eng.cache_key(prob)
+            key = prob.fingerprint()
             assert cache.get(key) is None
-            value, side = eng.solve(prob)
+            value, side = solve(engine, prob)
             cache.put(key, value, side)
             entry = cache.get(key)
             assert entry is not None
@@ -107,14 +96,9 @@ class TestEngineConformance:
     def test_solve_chain_every_link_valid(self, engine, problems):
         # the resilience chain: the primary attempt first, and every
         # fallback independently produces a valid cut of the same instance
-        eng = get_engine(engine)
         prob = problems[0]
-        chain = eng.solve_chain(prob)
+        chain = engine.solve_chain(prob)
         assert len(chain) >= 2, "every engine needs at least one fallback"
-        primary_value, primary_side = chain[0](prob)
-        engine_value, engine_side = eng.solve(prob)
-        assert primary_value == engine_value
-        assert np.array_equal(primary_side, engine_side)
         for attempt in chain:
             value, side = attempt(prob)
             assert_valid_cut(prob, value, side)
@@ -135,17 +119,15 @@ class TestEngineConformance:
                 else ParallelRuntime(ParallelConfig(backend=backend, workers=2))
             )
             with runtime as rt:
-                cut_ids, stats = detect_natural_cuts(
-                    g, 48, C=1, rng=np.random.default_rng(3), parallel=rt, engine=engine
+                cut_ids, _ = detect_natural_cuts(
+                    g, 48, C=1, rng=np.random.default_rng(3), parallel=rt
                 )
-            assert stats.cut_engine == engine
             runs.append(np.sort(cut_ids))
         assert np.array_equal(runs[0], runs[1])
 
     def test_sanitizer_clean(self, engine):
         # a full run under the runtime sanitizer records zero violations
         from repro import PunchConfig, run_punch
-        from repro.core.config import FilterConfig
         from repro.lint.sanitizer import get_sanitizer
 
         san = get_sanitizer()
@@ -154,8 +136,7 @@ class TestEngineConformance:
         san.enabled = True
         try:
             g = road_network(n_target=300, seed=5)
-            cfg = PunchConfig(filter=FilterConfig(cut_engine=engine), seed=0)
-            res = run_punch(g, 48, cfg)
+            res = run_punch(g, 48, PunchConfig(seed=0))
             assert res.partition.max_cell_size() <= 48
             assert not san.violations, [
                 f"[{v.phase}] {v.kind}: {v.message}" for v in san.violations
@@ -165,131 +146,25 @@ class TestEngineConformance:
             san.enabled = was_enabled
 
 
-class TestEngineCacheIsolation:
-    """Satellite regression: one engine's cache entry never serves another."""
+class TestSolveChain:
+    def test_chain_is_the_constant_min_cut_chain(self, problems):
+        # push-relabel first, then the independent BFS-based fallbacks
+        chain = PushRelabelEngine().solve_chain(problems[0])
+        solvers = [attempt.keywords["solver"] for attempt in chain]
+        assert solvers == ["push_relabel", "dinic", "edmonds_karp"]
 
-    def test_cache_keys_differ_across_engines(self, problems):
-        pr = get_engine("push_relabel")
-        fc = get_engine("flowcutter")
-        for prob in problems:
-            assert pr.cache_key(prob) != fc.cache_key(prob)
+    def test_chain_looked_up_once_per_subproblem(self, monkeypatch):
+        # detection asks the class for its chain at solve time, so wrapping
+        # PushRelabelEngine.solve_chain sees every fresh solve
+        calls = []
+        original = PushRelabelEngine.solve_chain
 
-    def test_shared_cache_with_both_engines_live(self, problems):
-        # both engines populate ONE cache; each always reads back exactly
-        # its own entry, and a foreign-engine entry is never served
-        shared = CutCache(4096)
-        pr = get_engine("push_relabel")
-        fc = get_engine("flowcutter")
-        for prob in problems:
-            pr_key = pr.cache_key(prob)
-            fc_key = fc.cache_key(prob)
-            pr_value, pr_side = pr.solve(prob)
-            shared.put(pr_key, pr_value, pr_side)
-            # the push-relabel entry exists; flowcutter must still miss
-            assert shared.get(fc_key) is None
-            fc_value, fc_side = fc.solve(prob)
-            shared.put(fc_key, fc_value, fc_side)
-            hit_pr = shared.get(pr_key)
-            hit_fc = shared.get(fc_key)
-            assert hit_pr is not None and hit_fc is not None
-            assert hit_pr[0] == pr_value and np.array_equal(hit_pr[1], pr_side)
-            assert hit_fc[0] == fc_value and np.array_equal(hit_fc[1], fc_side)
+        def counting(self, problem):
+            calls.append(problem.center)
+            return original(self, problem)
 
-    def test_detect_natural_cuts_isolated_in_shared_cache(self):
-        # end-to-end: running both engines over one injected cache yields
-        # the same cuts each engine finds with a private cache
+        monkeypatch.setattr(PushRelabelEngine, "solve_chain", counting)
         g = road_network(n_target=300, seed=2)
-        shared = CutCache(65536)
-        out = {}
-        for engine in ("push_relabel", "flowcutter"):
-            private_ids, _ = detect_natural_cuts(
-                g, 48, C=1, rng=np.random.default_rng(0), engine=engine
-            )
-            shared_ids, _ = detect_natural_cuts(
-                g,
-                48,
-                C=1,
-                rng=np.random.default_rng(0),
-                engine=engine,
-                cut_cache=shared,
-            )
-            assert np.array_equal(np.sort(private_ids), np.sort(shared_ids))
-            out[engine] = np.sort(shared_ids)
-        # sanity: the engines do make different choices on this instance —
-        # otherwise the isolation property above would be vacuous
-        assert not np.array_equal(out["push_relabel"], out["flowcutter"])
-
-
-class TestRegistry:
-    def test_available_engines_sorted_and_complete(self):
-        names = available_engines()
-        assert list(names) == sorted(names)
-        assert {"push_relabel", "flowcutter"} <= set(names)
-
-    def test_unknown_engine_raises_with_choices(self):
-        with pytest.raises(ValueError, match="push_relabel"):
-            get_engine("no-such-engine")
-
-    def test_duplicate_registration_rejected(self):
-        from repro.cutengine.registry import _INSTANCES, _REGISTRY
-
-        class Dup(CutEngine):
-            name = "push_relabel"
-
-            def solve(self, problem):  # pragma: no cover - never called
-                raise NotImplementedError
-
-            def solve_chain(self, problem):  # pragma: no cover - never called
-                raise NotImplementedError
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine(Dup)
-        assert _REGISTRY["push_relabel"] is not Dup
-        assert "push_relabel" in available_engines()
-        _INSTANCES.pop("dup", None)
-
-    def test_nameless_engine_rejected(self):
-        class NoName(CutEngine):
-            def solve(self, problem):  # pragma: no cover - never called
-                raise NotImplementedError
-
-            def solve_chain(self, problem):  # pragma: no cover - never called
-                raise NotImplementedError
-
-        with pytest.raises(ValueError, match="name"):
-            register_engine(NoName)
-
-    def test_new_engine_auto_discovered(self, problems):
-        # the extension point: registering an engine makes it visible to
-        # available_engines() (and therefore to this suite's parametrization
-        # on the next collection) and usable by name in FilterConfig
-        from repro.core.config import FilterConfig
-        from repro.cutengine.registry import _INSTANCES, _REGISTRY
-
-        class Echo(CutEngine):
-            name = "test-echo"
-
-            def solve(self, problem):
-                from repro.filtering.cut_problem import solve_cut_problem_sides
-
-                return solve_cut_problem_sides(problem, "dinic")
-
-            def solve_chain(self, problem):
-                return [self.solve]
-
-        try:
-            register_engine(Echo)
-            assert "test-echo" in available_engines()
-            cfg = FilterConfig(cut_engine="test-echo")
-            assert cfg.cut_engine == "test-echo"
-            value, side = get_engine("test-echo").solve(problems[0])
-            assert_valid_cut(problems[0], value, side)
-        finally:
-            _REGISTRY.pop("test-echo", None)
-            _INSTANCES.pop("test-echo", None)
-
-    def test_filter_config_rejects_unknown_engine(self):
-        from repro.core.config import FilterConfig
-
-        with pytest.raises(ValueError, match="cut_engine"):
-            FilterConfig(cut_engine="no-such-engine")
+        _, stats = detect_natural_cuts(g, 48, C=1, rng=np.random.default_rng(0))
+        assert stats.problems_solved > 0
+        assert len(calls) == stats.problems_solved

@@ -1,9 +1,7 @@
-"""Tests for extensions: the Buffoon-style hybrid and the ASCII map."""
+"""Tests for the Buffoon-style hybrid: PUNCH's filtering + multilevel assembly."""
 
 import numpy as np
-import pytest
 
-from repro.analysis.ascii_map import ascii_partition_map
 from repro.baselines.buffoon import buffoon_partition_U, buffoon_partition_k
 from repro.core import Partition
 
@@ -34,26 +32,3 @@ class TestBuffoonHybrid:
         assert p.num_cells <= k
         bound = int(1.05 * -(-road_small.n // k))
         assert p.max_cell_size() <= bound
-
-
-class TestAsciiMap:
-    def test_renders_grid(self, walls_grid):
-        labels = np.zeros(walls_grid.n, dtype=np.int64)
-        labels[walls_grid.n // 2 :] = 1
-        art = ascii_partition_map(walls_grid, labels, width=40, height=10)
-        lines = art.splitlines()
-        assert len(lines) == 10
-        assert all(len(l) == 40 for l in lines)
-        assert "0" in art and "1" in art
-
-    def test_requires_coords(self):
-        from .conftest import cycle_graph
-
-        g = cycle_graph(5)
-        with pytest.raises(ValueError):
-            ascii_partition_map(g, np.zeros(5))
-
-    def test_many_cells_cycle_glyphs(self, walls_grid):
-        labels = np.arange(walls_grid.n) % 80
-        art = ascii_partition_map(walls_grid, labels, width=30, height=8)
-        assert len(art.splitlines()) == 8

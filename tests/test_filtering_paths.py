@@ -1,7 +1,5 @@
 """Unit tests for tiny-cut pass 2 (degree-2 chain contraction)."""
 
-import numpy as np
-
 from repro.filtering import degree_two_labels
 from repro.graph import contract
 from repro.graph.builder import build_graph
@@ -9,8 +7,8 @@ from repro.graph.builder import build_graph
 from .conftest import cycle_graph, make_graph, path_graph
 
 
-def apply_pass(g, U, chunk=False):
-    labels, stats = degree_two_labels(g, U, chunk_large=chunk)
+def apply_pass(g, U):
+    labels, stats = degree_two_labels(g, U)
     cg, dense = contract(g, labels)
     return cg, dense, stats
 
@@ -32,15 +30,6 @@ class TestDegreeTwoLabels:
         _, dense, stats = apply_pass(g, U=2)
         assert stats.chains_skipped >= 1
         assert len({int(dense[1]), int(dense[2]), int(dense[3])}) == 3
-
-    def test_chunking_large_chain(self):
-        edges = [(0, 1), (1, 2), (2, 3), (3, 6), (0, 4), (0, 5), (6, 7), (6, 8)]
-        g = make_graph(9, edges)
-        cg, dense, stats = apply_pass(g, U=2, chunk=True)
-        # the chain splits into groups of size <= 2
-        sizes = np.bincount(dense, weights=g.vsize)
-        assert sizes.max() <= 2
-        assert dense[1] == dense[2] or dense[2] == dense[3]
 
     def test_pure_cycle_component(self):
         g = cycle_graph(6)

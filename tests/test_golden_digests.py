@@ -1,6 +1,7 @@
-"""Golden label digests: the assembly phase reproduces exactly for a seed.
+"""Golden label digests: partitions reproduce exactly for a seed.
 
-Every case runs one seeded assembly-phase path and compares the sha256 of
+Every case runs one seeded path (assembly alone, a balanced run, or a whole
+unbalanced PUNCH run with the default config) and compares the sha256 of
 its labels (``int64``, C order) and its cost with the ledger in
 ``tests/golden/assembly_digests.json``.  A change that alters any partition
 fails here, so a refactor or speed-up that claims bit-identical output is
@@ -26,9 +27,11 @@ import pytest
 
 from repro.assembly.driver import run_assembly
 from repro.balanced.driver import run_balanced_punch
-from repro.core.config import AssemblyConfig, BalancedConfig, FilterConfig
+from repro.core.config import AssemblyConfig, BalancedConfig, FilterConfig, PunchConfig
+from repro.core.punch import run_punch
 from repro.filtering.pipeline import run_filtering
 from repro.synthetic.instances import instance
+from repro.synthetic.roadnet import road_network
 
 LEDGER = os.path.join(os.path.dirname(__file__), "golden", "assembly_digests.json")
 
@@ -68,6 +71,21 @@ def _balanced() -> Tuple[np.ndarray, float]:
     return res.partition.labels, res.cost
 
 
+#: road networks of the unbalanced-PUNCH cases: (name, generator kwargs, U)
+PUNCH_ROADS = (
+    ("road800", dict(n_target=800, seed=3), 96),
+    ("road1200", dict(n_target=1200, n_cities=7, seed=42), 128),
+)
+
+
+def _punch(gargs: dict, U: int, seed: int) -> Callable[[], Tuple[np.ndarray, float]]:
+    def run():
+        res = run_punch(road_network(**gargs), U, PunchConfig(seed=seed))
+        return res.partition.labels, res.cost
+
+    return run
+
+
 CASES: Dict[str, Callable[[], Tuple[np.ndarray, float]]] = {
     **{
         f"fine/{variant}/seed{seed}": _assembly(variant, seed)
@@ -78,6 +96,11 @@ CASES: Dict[str, Callable[[], Tuple[np.ndarray, float]]] = {
         "L2+", 0, multistart=4, use_combination=True
     ),
     "balanced/mini_like/k4/seed1": _balanced,
+    **{
+        f"punch/{name}/U{U}/seed{seed}": _punch(gargs, U, seed)
+        for name, gargs, U in PUNCH_ROADS
+        for seed in (0, 7)
+    },
 }
 
 

@@ -358,75 +358,6 @@ class TestTwinDrift:
 
 
 # ---------------------------------------------------------------------------
-# REPRO116: engine registry conformance
-# ---------------------------------------------------------------------------
-
-
-ENGINE_MODULE = (
-    "def register_engine(cls):\n    return cls\n"
-    "def available_engines():\n    return ['beta']\n"
-    "@register_engine\n"
-    "class BetaEngine:\n"
-    "    name = 'beta'\n"
-    "    def solve(self, prob):\n        pass\n"
-    "    def solve_chain(self, probs):\n        pass\n"
-)
-CONFORMANCE_TEST = (
-    "import pytest\n"
-    "from proj.cutengine.engines import available_engines\n"
-    "ENGINES = available_engines()\n"
-    "@pytest.mark.parametrize('engine', ENGINES)\n"
-    "def test_conformance(engine):\n    pass\n"
-)
-
-
-class TestEngineConformance:
-    def test_registered_covered_engine_is_clean(self, tmp_path):
-        analysis = run(
-            tmp_path,
-            {"cutengine/engines.py": ENGINE_MODULE},
-            tests={"test_conformance.py": CONFORMANCE_TEST},
-        )
-        assert rules_of(analysis, "REPRO116") == []
-
-    def test_incomplete_surface_caught(self, tmp_path):
-        broken = ENGINE_MODULE.replace(
-            "    def solve_chain(self, probs):\n        pass\n", ""
-        )
-        analysis = run(
-            tmp_path,
-            {"cutengine/engines.py": broken},
-            tests={"test_conformance.py": CONFORMANCE_TEST},
-        )
-        hits = rules_of(analysis, "REPRO116")
-        assert len(hits) == 1
-        assert "solve_chain" in hits[0].message
-
-    def test_removed_parametrization_caught(self, tmp_path):
-        analysis = run(
-            tmp_path,
-            {"cutengine/engines.py": ENGINE_MODULE},
-            tests={"test_conformance.py": "def test_nothing():\n    pass\n"},
-        )
-        hits = rules_of(analysis, "REPRO116")
-        assert len(hits) == 1
-        assert "parametrize axis" in hits[0].message
-
-    def test_literal_axis_missing_engine_caught(self, tmp_path):
-        literal = CONFORMANCE_TEST.replace("ENGINES = available_engines()\n", "").replace(
-            "from proj.cutengine.engines import available_engines\n", ""
-        ).replace("ENGINES", "['alpha']")
-        analysis = run(
-            tmp_path,
-            {"cutengine/engines.py": ENGINE_MODULE},
-            tests={"test_conformance.py": literal},
-        )
-        hits = rules_of(analysis, "REPRO116")
-        assert len(hits) == 1
-        assert "not covered" in hits[0].message
-
-
-# ---------------------------------------------------------------------------
 # Dead-code report
 # ---------------------------------------------------------------------------
 

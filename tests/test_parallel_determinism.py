@@ -117,9 +117,11 @@ class TestEndToEndDeterminism:
 
         labels = {}
         for backend in BACKENDS:
-            cfg = BalancedConfig(seed=11, parallel=_parallel(backend))
+            # ceil(24 / 8) = 3 starts: more than one wave on 2 workers
+            cfg = replace(_small_balanced(backend), seed=11, starts_numerator=24)
             res = run_balanced_punch(lux, 8, 0.05, cfg)
             assert res.feasible()
+            assert len(res.unbalanced_costs) == 3
             labels[backend] = res.partition.labels
         assert np.array_equal(labels[None], labels["threads"])
         assert np.array_equal(labels[None], labels["processes"])

@@ -166,6 +166,31 @@ class TestParallelRuntime:
         assert report["worker_cache_hits"] == 3
         assert report["worker_cache_misses"] == 5
 
+    def test_worker_profiler_counters_reach_parent(self):
+        """Counters bumped inside process-pool workers are shipped with each
+        task's stats and folded into the parent profiler, so a processes run
+        reports the same counters as an inline one."""
+        from repro.core.config import AssemblyConfig
+        from repro.core.punch import run_punch
+        from repro.perf.timers import PhaseProfiler, set_profiler
+        from repro.synthetic import instance
+
+        g = instance("mini_like")
+        counters = {}
+        for backend in (None, "processes"):
+            parallel = None if backend is None else ParallelConfig(backend=backend, workers=2)
+            cfg = PunchConfig(seed=0, assembly=AssemblyConfig(multistart=2), parallel=parallel)
+            prof = PhaseProfiler(enabled=True)
+            prev = set_profiler(prof)
+            try:
+                run_punch(g, 32, cfg)
+            finally:
+                set_profiler(prev)
+            counters[backend] = prof.counters
+        assert counters[None]["assembly.ls_instances_built"] > 0
+        assert counters[None]["assembly.ls_instances_reused"] > 0
+        assert counters["processes"] == counters[None]
+
     def test_pool_reuse_same_object(self):
         with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
             assert rt.executor() is rt.executor()
