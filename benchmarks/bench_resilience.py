@@ -13,9 +13,9 @@ Supervision (``RuntimeConfig(supervise=True)``, applied by the run's
 no-fault run: its liveness scans, heartbeat sentinels, and startup reaping
 may not slow a healthy run down.
 ``test_supervisor_overhead`` measures supervised vs. unsupervised
-``run_punch`` on the threads and processes backends, asserts the partitions
-stay bit-identical, and records everything in ``BENCH_resilience.json`` at
-the repo root (the CI chaos-smoke gate).
+``run_punch`` on a 2-worker process pool, asserts the partitions stay
+bit-identical, and records everything in ``BENCH_resilience.json`` at the
+repo root (the CI chaos-smoke gate).
 """
 
 from __future__ import annotations
@@ -142,18 +142,18 @@ def test_resilience_overhead(benchmark):
     assert report == {}
 
 
-def _supervisor_config(backend: str, supervise: bool) -> PunchConfig:
+def _supervisor_config(supervise: bool) -> PunchConfig:
     return PunchConfig(
         seed=0,
         assembly=AssemblyConfig(multistart=2),
-        parallel=ParallelConfig(backend=backend, workers=2),
+        parallel=ParallelConfig(workers=2),
         runtime=RuntimeConfig(supervise=supervise),
     )
 
 
-def _bench_supervised_backend(g, backend: str) -> dict:
+def _bench_supervised(g) -> dict:
     def run(supervise: bool):
-        return run_punch(g, U, _supervisor_config(backend, supervise))
+        return run_punch(g, U, _supervisor_config(supervise))
 
     # warm-up both paths and pin the determinism contract: supervision is
     # scheduling-only, so the partition may not move by a single label
@@ -186,37 +186,32 @@ def test_supervisor_overhead(benchmark):
     """No-fault supervised runs stay within 5% of unsupervised wall time."""
     g = instance(NAME)
 
-    def _measure():
-        return {b: _bench_supervised_backend(g, b) for b in ("threads", "processes")}
-
-    r = benchmark.pedantic(_measure, rounds=1, iterations=1)
-    rows = [
-        (
-            backend,
-            f"{e['t_plain']:.4f}",
-            f"{e['t_supervised']:.4f}",
-            f"{e['overhead']:+.1%}",
-        )
-        for backend, e in r.items()
-    ]
+    e = benchmark.pedantic(lambda: _bench_supervised(g), rounds=1, iterations=1)
     out = render_table(
-        ["backend", "plain s", "supervised s", "overhead"],
-        rows,
+        ["pool", "plain s", "supervised s", "overhead"],
+        [
+            (
+                "processes",
+                f"{e['t_plain']:.4f}",
+                f"{e['t_supervised']:.4f}",
+                f"{e['overhead']:+.1%}",
+            )
+        ],
         title=(
-            f"Execution-supervisor overhead on {NAME} (U={U}, multistart=2; "
-            f"limit {SUPERVISOR_OVERHEAD_LIMIT:.0%}, best of {SUP_ROUNDS})"
+            f"Execution-supervisor overhead on {NAME} (U={U}, multistart=2, "
+            f"2 worker processes; limit {SUPERVISOR_OVERHEAD_LIMIT:.0%}, "
+            f"best of {SUP_ROUNDS})"
         ),
     )
     write_result("supervisor_overhead", out)
     _RECORDED["supervisor"] = {
         "limit": SUPERVISOR_OVERHEAD_LIMIT,
-        "determinism_ok": True,  # asserted per backend above
-        **r,
+        "determinism_ok": True,  # asserted in _bench_supervised
+        "processes": e,
     }
     _write_bench_json()
 
-    worst = max(e["overhead"] for e in r.values())
-    assert worst < SUPERVISOR_OVERHEAD_LIMIT, (
-        f"supervisor no-fault overhead {worst:.1%} >= "
+    assert e["overhead"] < SUPERVISOR_OVERHEAD_LIMIT, (
+        f"supervisor no-fault overhead {e['overhead']:.1%} >= "
         f"{SUPERVISOR_OVERHEAD_LIMIT:.0%}"
     )

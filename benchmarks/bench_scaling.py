@@ -14,7 +14,7 @@ worker counts, and writes ``BENCH_scaling.json`` at the repo root (schema
 
 Two gates:
 
-- **determinism** (always enforced): every backend/worker-count must produce
+- **determinism** (always enforced): every worker count must produce
   exactly the serial answer — the bit-identical contract of
   ``docs/PERFORMANCE.md``.  Any mismatch is a hard failure.
 - **speedup** (enforced only when the machine can show one, i.e.
@@ -74,7 +74,7 @@ def bench_filtering(g, worker_counts, repeats):
 
     for workers in worker_counts:
         def pooled(w=workers):
-            with ParallelRuntime(ParallelConfig(backend="processes", workers=w)) as rt:
+            with ParallelRuntime(ParallelConfig(workers=w)) as rt:
                 return detect_natural_cuts(
                     g, U, rng=np.random.default_rng(3), parallel=rt
                 )[0]
@@ -110,7 +110,7 @@ def bench_end_to_end(g, worker_counts, repeats):
 
     for workers in worker_counts:
         t, (labels, cost) = timed(
-            lambda w=workers: run(ParallelConfig(backend="processes", workers=w)),
+            lambda w=workers: run(ParallelConfig(workers=w)),
             repeats,
         )
         if not np.array_equal(labels, labels0):

@@ -10,10 +10,10 @@ Standalone script (not a pytest bench):
 Partitions a synthetic continent graph, builds the CRP overlay, and
 replays a seeded query log through :class:`repro.serve.ServingEngine`,
 recording QPS, p50/p99 latency, customization time, and the metric-LRU
-hit rate into ``BENCH_serving.json`` (schema ``bench_serving/v1``;
+hit rate into ``BENCH_serving.json`` (schema ``bench_serving/v2``;
 documented in ``docs/SERVING.md``).
 
-Three gates:
+Two gates:
 
 - **bit-identity** (always enforced): every batched/cached distance must
   equal the per-query scalar ``crp_query`` answer on a freshly customized
@@ -24,10 +24,6 @@ Three gates:
   vectorized ``customize_overlay`` must beat the scalar
   ``customize_overlay_reference`` by ``CUSTOMIZE_GATE``.  When idle the
   measured ratio is still recorded with ``customize_gate_enforced: false``.
-- **stats overhead** (enforced on the full instance): serving with
-  counters on must stay within ``STATS_OVERHEAD_GATE`` of counters off.
-  Quick mode records the ratio unenforced — sub-second smoke runs are
-  too noisy to gate on.
 """
 
 from __future__ import annotations
@@ -63,7 +59,6 @@ from repro.synthetic.instances import instance  # noqa: E402
 U = 96
 SEED = 7
 CUSTOMIZE_GATE = 1.5  # vectorized vs scalar-reference customization
-STATS_OVERHEAD_GATE = 1.05  # counters-on time / counters-off time
 OUT_PATH = REPO_ROOT / "BENCH_serving.json"
 
 
@@ -102,11 +97,11 @@ def bench_customization(overlay, profiles, repeats):
     }
 
 
-def bench_replay(engine, g, log, batch, label):
+def bench_replay(engine, log, batch):
     """One replay pass; returns (ReplayResult, summary dict)."""
     rr = replay(engine, log, batch_size=batch)
     print(
-        f"  replay {label:<24} {rr.qps:9.0f} q/s   "
+        f"  replay {rr.qps:9.0f} q/s   "
         f"p50 {rr.latency_p50_ms:7.3f} ms   p99 {rr.latency_p99_ms:7.3f} ms   "
         f"LRU hit rate {rr.lru_hit_rate:.2f}"
     )
@@ -172,38 +167,21 @@ def main(argv=None) -> int:
     print("customization (vectorized vs scalar reference):")
     customization = bench_customization(overlay, log.profiles, repeats)
 
-    print("replay (stats on / stats off):")
-    eng_on = ServingEngine(
-        overlay, ServingConfig(metric_cache_entries=cache_entries, collect_stats=True)
-    )
-    rr_on, on_summary = bench_replay(eng_on, g, log, batch, "stats on")
-    eng_off = ServingEngine(
-        overlay, ServingConfig(metric_cache_entries=cache_entries, collect_stats=False)
-    )
-    rr_off, off_summary = bench_replay(eng_off, g, log, batch, "stats off")
+    print("replay:")
+    engine = ServingEngine(overlay, ServingConfig(metric_cache_entries=cache_entries))
+    rr, replay_summary = bench_replay(engine, log, batch)
 
     # hard gate: served distances == scalar crp_query on fresh customizations
-    checked = check_bit_identity(overlay, log, batch, rr_on.distances)
-    if not np.array_equal(
-        np.nan_to_num(rr_on.distances, posinf=-1.0),
-        np.nan_to_num(rr_off.distances, posinf=-1.0),
-    ):
-        raise SystemExit("BIT-IDENTITY FAILURE: stats on/off replays disagree")
+    checked = check_bit_identity(overlay, log, batch, rr.distances)
     print(f"  bit-identity: {checked} distances match scalar crp_query exactly")
 
     customize_gate_enforced = overlay.clique_edges > 0
     customize_gate_ok = (
         customization["speedup"] >= CUSTOMIZE_GATE if customize_gate_enforced else True
     )
-    overhead = (
-        rr_on.query_s / rr_off.query_s if rr_off.query_s > 0 else float("inf")
-    )
-    overhead_gate_enforced = not quick
-    overhead_gate_ok = overhead <= STATS_OVERHEAD_GATE if overhead_gate_enforced else True
-    print(f"  stats overhead: {overhead:.3f}x (gate {STATS_OVERHEAD_GATE}x)")
 
     result = {
-        "schema": "bench_serving/v1",
+        "schema": "bench_serving/v2",
         "instance": name,
         "n": g.n,
         "m": g.m,
@@ -223,13 +201,8 @@ def main(argv=None) -> int:
         "customize_gate": CUSTOMIZE_GATE,
         "customize_gate_enforced": customize_gate_enforced,
         "customize_gate_ok": customize_gate_ok,
-        "replay_stats_on": on_summary,
-        "replay_stats_off": off_summary,
-        "stats_overhead": overhead,
-        "stats_overhead_gate": STATS_OVERHEAD_GATE,
-        "stats_overhead_gate_enforced": overhead_gate_enforced,
-        "stats_overhead_gate_ok": overhead_gate_ok,
-        "engine": eng_on.stats(),
+        "replay": replay_summary,
+        "engine": engine.stats(),
     }
     OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {OUT_PATH}")
@@ -241,14 +214,6 @@ def main(argv=None) -> int:
         print(
             f"FAIL: customization speedup {customization['speedup']:.2f}x "
             f"below gate {CUSTOMIZE_GATE}x",
-            file=sys.stderr,
-        )
-        rc = 1
-    if not overhead_gate_enforced:
-        print("stats-overhead gate idle: quick mode (ratio recorded unenforced)")
-    elif not overhead_gate_ok:
-        print(
-            f"FAIL: stats overhead {overhead:.3f}x above gate {STATS_OVERHEAD_GATE}x",
             file=sys.stderr,
         )
         rc = 1

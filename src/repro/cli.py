@@ -108,34 +108,28 @@ def _add_runtime_flags(sp) -> None:
         "and partition invariants (≤5%% overhead; see docs/STATIC_ANALYSIS.md)",
     )
     sp.add_argument(
-        "--executor",
-        choices=("threads", "processes"),
-        default=None,
-        help="run the work on a worker pool of this kind (default: inline); "
-        "the partition is bit-identical with and without one (see "
-        "docs/PERFORMANCE.md)",
-    )
-    sp.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="worker count for --executor threads/processes (default: all cores)",
+        help="run the work on N worker processes (default: inline); the "
+        "partition is bit-identical with and without them (see "
+        "docs/PERFORMANCE.md)",
     )
 
 
 def _parallel_from_args(args):
     """Build the worker-pool config from the shared CLI flags.
 
-    No ``--executor`` flag means no pool (``None``): every task runs
+    No ``--workers`` flag means no pool (``None``): every task runs
     inline, with the same partition a pool would give.
     """
-    if args.executor is None:
+    if args.workers is None:
         return None
     from .core.config import ParallelConfig
 
     try:
-        return ParallelConfig(backend=args.executor, workers=args.workers)
+        return ParallelConfig(workers=args.workers)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
 
@@ -318,14 +312,7 @@ def cmd_replay(args) -> int:
         n_profiles=args.profiles,
         seed=args.seed if args.seed is not None else 0,
     )
-    pcfg = _parallel_from_args(args) if hasattr(args, "executor") else None
-    if pcfg is not None and pcfg.backend == "threads":
-        from .parallel.pool import ParallelRuntime
-
-        with ParallelRuntime(pcfg) as rt:
-            rr = replay(engine, log, batch_size=args.batch, pool=rt)
-    else:
-        rr = replay(engine, log, batch_size=args.batch)
+    rr = replay(engine, log, batch_size=args.batch)
     print(f"queries        : {rr.queries} in {rr.batches} batches")
     print(f"throughput     : {rr.qps:.0f} queries/s")
     print(f"latency p50    : {rr.latency_p50_ms:.3f} ms")
@@ -480,14 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cache-entries", type=int, default=8, help="metric LRU capacity")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--json", metavar="PATH", help="write the replay run report here")
-    sp.add_argument(
-        "--executor",
-        choices=("threads", "processes"),
-        default=None,
-        help="threads fans batches across a worker pool; processes (like the "
-        "default) serves inline",
-    )
-    sp.add_argument("--workers", type=int, default=None, metavar="N")
     sp.set_defaults(fn=cmd_replay)
 
     sp = sub.add_parser(

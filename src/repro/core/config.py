@@ -32,21 +32,16 @@ class ParallelConfig:
 
     Setting ``parallel`` on a :class:`PunchConfig` / :class:`BalancedConfig`
     routes natural-cut detection, multistart assembly, and the balanced
-    driver's unbalanced starts through the one persistent pool of a
-    :class:`~repro.parallel.pool.ParallelRuntime`.  Without it the same
+    driver's unbalanced starts through the one persistent process pool of
+    a :class:`~repro.parallel.pool.ParallelRuntime`.  Without it the same
     tasks run inline, and the output is bit-identical either way (no
-    runtime ≡ threads ≡ processes — see ``docs/PERFORMANCE.md``); the
-    backend only decides where the work runs.
+    runtime ≡ processes — see ``docs/PERFORMANCE.md``); the pool only
+    decides where the work runs.
     """
 
-    backend: str = "processes"  # "threads" | "processes"
     workers: Optional[int] = None  # None = os.cpu_count()
 
     def __post_init__(self) -> None:
-        if self.backend not in ("threads", "processes"):
-            raise ValueError(
-                f"backend must be 'threads' or 'processes', got {self.backend!r}"
-            )
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (or None for cpu_count)")
 

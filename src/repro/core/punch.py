@@ -50,8 +50,8 @@ def run_punch(
     and torn down — pool and shared segments — when the run ends, even on
     error.  An explicit ``parallel`` argument borrows an existing runtime
     (the caller keeps ownership, and the runtime keeps the supervision
-    policy it was built with).  The partition is bit-identical across
-    backends; see ``docs/PERFORMANCE.md``.
+    policy it was built with).  The partition is bit-identical with and
+    without the pool; see ``docs/PERFORMANCE.md``.
     """
     config = PunchConfig() if config is None else config
     if rng is None:

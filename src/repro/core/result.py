@@ -57,8 +57,8 @@ class PunchResult:
     time_tiny: float
     time_natural: float
     time_assembly: float
-    # worker-pool telemetry (backend, merged per-worker cache counters, shared
-    # bytes, pool breaks); empty when the run had no worker pool
+    # worker-pool telemetry (worker count, merged per-worker cache counters,
+    # shared bytes, pool breaks); empty when the run had no worker pool
     parallel_report: dict = field(default_factory=dict)
     # supervision telemetry (watchdog detections, restarts, reaped orphans);
     # empty when the run was unsupervised

@@ -13,8 +13,6 @@ from .overlay import (
 from .multilevel import (
     MultiLevelOverlay,
     build_multilevel_overlay,
-    build_multilevel_overlay_reference,
-    customize_multilevel_overlay,
     ml_query,
 )
 from .query import crp_query
@@ -30,8 +28,6 @@ __all__ = [
     "Overlay",
     "crp_query",
     "build_multilevel_overlay",
-    "build_multilevel_overlay_reference",
-    "customize_multilevel_overlay",
     "MultiLevelOverlay",
     "ml_query",
 ]

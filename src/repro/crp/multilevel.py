@@ -17,6 +17,10 @@ graph edge entering a foreign cell at level i-1 is a cut edge of every
 finer level too, so any vertex ever reached at query level i is a boundary
 vertex of partition i-1 and owns overlay-i arcs.  Exactness is verified in
 ``tests/test_crp_multilevel.py`` against plain Dijkstra.
+
+This module is the reference for the multi-level variant (used by
+``examples/metric_customization.py``); the serving engine
+(:mod:`repro.serve`) runs the two-level overlay only.
 """
 
 from __future__ import annotations
@@ -28,13 +32,11 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core.nested import NestedPartition
-from .overlay import Overlay, build_overlay, build_overlay_reference, customize_overlay
+from .overlay import Overlay, build_overlay
 
 __all__ = [
     "MultiLevelOverlay",
     "build_multilevel_overlay",
-    "build_multilevel_overlay_reference",
-    "customize_multilevel_overlay",
     "ml_query",
 ]
 
@@ -57,45 +59,10 @@ class MultiLevelOverlay:
 
 
 def build_multilevel_overlay(nested: NestedPartition) -> MultiLevelOverlay:
-    """Build one overlay per nesting level (finest first; vectorized).
-
-    Each level goes through the vectorized :func:`~.overlay.build_overlay`,
-    so the per-level :class:`~.overlay.CellTopology` skeletons are retained
-    for :func:`customize_multilevel_overlay`.
-    """
+    """Build one overlay per nesting level (finest first; vectorized)."""
     return MultiLevelOverlay(
         nested=nested, overlays=[build_overlay(p) for p in nested.levels]
     )
-
-
-def build_multilevel_overlay_reference(nested: NestedPartition) -> MultiLevelOverlay:
-    """Scalar reference twin of :func:`build_multilevel_overlay`."""
-    return MultiLevelOverlay(
-        nested=nested, overlays=[build_overlay_reference(p) for p in nested.levels]
-    )
-
-
-def customize_multilevel_overlay(
-    mlo: MultiLevelOverlay, new_weights: np.ndarray
-) -> MultiLevelOverlay:
-    """Swap the metric of every level without touching any partition.
-
-    Per-level vectorized customization: each level reuses its retained
-    topology, so a metric swap costs only the clique recomputations — the
-    multi-level analog of :func:`~.overlay.customize_overlay`.  All levels
-    share one reweighted graph object (and hence one half-edge gather).
-    """
-    from .overlay import _overlay_from_topology, _reweighted_graph, build_cell_topology
-    from ..core.partition import Partition
-
-    g2 = _reweighted_graph(mlo.graph, new_weights)
-    overlays = []
-    for o in mlo.overlays:
-        topo = o.topology
-        if topo is None:
-            topo = build_cell_topology(Partition(o.graph, o.labels))
-        overlays.append(_overlay_from_topology(topo, g2))
-    return MultiLevelOverlay(nested=mlo.nested, overlays=overlays)
 
 
 def ml_query(mlo: MultiLevelOverlay, s: int, t: int) -> Tuple[float, int]:

@@ -322,7 +322,7 @@ def detect_natural_cuts(
     if budget is None and runtime.time_budget is not None:
         budget = runtime.make_budget()
     stats = NaturalCutStats()
-    stats.final_executor = "serial" if parallel is None else parallel.backend
+    stats.final_executor = "serial" if parallel is None else "processes"
     marked = np.zeros(g.m, dtype=bool)
 
     def account(problem: CutProblem, value: float, side: np.ndarray, fallbacks: int) -> None:

@@ -3,8 +3,10 @@
 See ``docs/PERFORMANCE.md`` ("Shared-memory parallel runtime") and
 ``docs/RESILIENCE.md`` for the architecture: :class:`SharedGraph` exports
 the CSR arrays once into ``multiprocessing.shared_memory``, and
-:class:`ParallelRuntime` owns the worker pool that attaches them zero-copy,
-every export, and the watchdog for the duration of one PUNCH run.
+:class:`ParallelRuntime` owns the worker-process pool that attaches them
+zero-copy, every export, and the watchdog for the duration of one PUNCH
+run (processes are the only pool: under CPython's GIL threads cannot run
+the Python-level solves in parallel).
 :func:`resilient_map` dispatches every subproblem map onto that pool (or
 inline) with the retry, timeout and degradation policy.
 """

@@ -3,21 +3,22 @@
 The paper's implementation amortizes its thread fleet across the whole run
 ("first picks all centers sequentially, then runs each minimum-cut
 computation ... in parallel", and multistart/combination in parallel on the
-same cores).  This module provides the equivalent for process pools, and is
-the only place in the package that constructs an executor:
+same cores).  This module provides the equivalent with worker processes —
+under CPython's GIL only processes give that speedup, so there is no thread
+pool — and is the only place in the package that constructs an executor:
 
 - a **graph registry** shared by the driver and its workers: graphs are
   addressed by handle token, resolved to the original object in-process
-  (inline runs and thread pools) or lazily attached from shared memory in
-  pool workers — so a task pickles a token, never an array;
+  (inline runs and a retired pool's fallback) or lazily attached from
+  shared memory in pool workers — so a task pickles a token, never an array;
 - :func:`lpt_batches` — size-aware batch scheduling: subproblems are dealt
   largest-first onto the least-loaded batch (classic LPT), which
   approximates work stealing with plain executor futures;
 - :class:`ParallelRuntime` — the per-run object drivers thread through the
-  phases: it creates the ``ProcessPoolExecutor`` (or ``ThreadPoolExecutor``)
-  once per run, owns every :class:`~.shared_graph.SharedGraph` export,
-  merges worker-side cache counters and profiler spans and counters back
-  into the parent, and — when the run's
+  phases: it creates the ``ProcessPoolExecutor`` once per run, owns every
+  :class:`~.shared_graph.SharedGraph` export, merges worker-side cache
+  counters and profiler spans and counters back into the parent, and —
+  when the run's
   :class:`~repro.core.config.RuntimeConfig` sets ``supervise`` — watchdogs
   its worker processes and respawns a collapsed pool within the restart
   budget;
@@ -27,8 +28,7 @@ the only place in the package that constructs an executor:
 
 Nothing here makes an algorithmic decision — the runtime only decides
 *where* work runs and *when* to give up on a pool — so the bit-identical
-determinism contract (no runtime ≡ threads ≡ processes) holds by
-construction.
+determinism contract (no runtime ≡ processes) holds by construction.
 """
 
 from __future__ import annotations
@@ -41,13 +41,7 @@ import secrets
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
@@ -142,10 +136,10 @@ def unregister_graph(token: str) -> None:
 def resolve_graph(handle: SharedGraphHandle | Graph) -> Graph:
     """The graph behind a handle, wherever this code runs.
 
-    In the driver (inline runs and thread pools) the token hits the
-    registry entry made at export time — the original object, zero cost.
-    In a pool worker the first resolution attaches the shared-memory view
-    and caches it, so attachment happens once per worker per graph.  A
+    In the driver (inline runs and a retired pool's fallback) the token
+    hits the registry entry made at export time — the original object, zero
+    cost.  In a pool worker the first resolution attaches the shared-memory
+    view and caches it, so attachment happens once per worker per graph.  A
     run without a runtime passes the graph itself, which resolves to itself.
     """
     if isinstance(handle, Graph):
@@ -238,19 +232,19 @@ class ParallelRuntime:
 
     Created once by a driver (:func:`repro.core.punch.run_punch`,
     :func:`repro.balanced.driver.run_balanced_punch`) from the run's
-    :class:`~repro.core.config.ParallelConfig` (where work runs) and
+    :class:`~repro.core.config.ParallelConfig` (how many worker processes) and
     :class:`~repro.core.config.RuntimeConfig` (how the pool is watched and
     replaced), and threaded through every phase.  A run without a runtime
     (``parallel=None``) dispatches the *same* tasks inline, which is what
-    makes the inline/threads/processes determinism contract testable.
+    makes the inline/processes determinism contract testable.
 
     The pool is created on the first pooled map and reused until
-    :meth:`close`.  :meth:`mark_broken` retires it (and stops a process
-    pool's workers); with ``runtime.supervise`` the next map respawns a
-    fresh pool while ``runtime.max_pool_restarts`` allows, otherwise the
-    rest of the run executes inline.  The same flag arms the watchdog:
-    orphaned segments of dead runs are reaped at construction, and process
-    pools get liveness scans plus heartbeat sentinels (timeout
+    :meth:`close`.  :meth:`mark_broken` retires it (and stops its
+    workers); with ``runtime.supervise`` the next map respawns a fresh
+    pool while ``runtime.max_pool_restarts`` allows, otherwise the rest of
+    the run executes inline.  The same flag arms the watchdog: orphaned
+    segments of dead runs are reaped at construction, and the pool gets
+    liveness scans plus heartbeat sentinels (timeout
     ``runtime.heartbeat_timeout``) before and while a map waits.  Work is
     always replayed from derived seeds, never from partial state, so none
     of this can change a partition.
@@ -261,7 +255,7 @@ class ParallelRuntime:
     ) -> None:
         self.config = ParallelConfig() if config is None else config
         self._policy = RuntimeConfig() if runtime is None else runtime
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         # one winner retires the pool when several failure sites race in
         self._broken = False
         self._broken_lock = threading.Lock()
@@ -293,10 +287,6 @@ class ParallelRuntime:
 
     # -- properties ------------------------------------------------------
     @property
-    def backend(self) -> str:
-        return self.config.backend
-
-    @property
     def workers(self) -> Optional[int]:
         return self.config.workers
 
@@ -308,13 +298,13 @@ class ParallelRuntime:
 
     # -- graph sharing ---------------------------------------------------
     def share(self, g: Graph) -> SharedGraphHandle:
-        """Export ``g`` once (processes) or register it locally; memoized.
+        """Export ``g`` once into shared memory and register it; memoized.
 
         The original graph is always registered in the driver's registry so
-        thread pools and inline runs — including the fallback after a pool
-        break — resolve the handle with zero overhead.  Once the process
-        pool is retired for good (broken, no restart left), no worker will
-        read an export again, so only the local handle is made.
+        inline work — including the fallback after a pool break — resolves
+        the handle with zero overhead.  Once the pool is retired for good
+        (broken, no restart left), no worker will read an export again, so
+        only a local handle is made.
         """
         if self._closed:
             raise RuntimeError("ParallelRuntime is closed")
@@ -323,7 +313,7 @@ class ParallelRuntime:
             handle = self._handles.get(key)
             if handle is not None:
                 return handle
-            if self.backend == "processes" and not self._retired():
+            if not self._retired():
                 sg = SharedGraph(g)
                 handle = sg.handle
                 self._shared[key] = sg
@@ -357,7 +347,7 @@ class ParallelRuntime:
                 sg.close()
 
     # -- pool ------------------------------------------------------------
-    def executor(self) -> Optional[Executor]:
+    def executor(self) -> Optional[ProcessPoolExecutor]:
         """The run's pool, created lazily; ``None`` when work must run inline.
 
         ``None`` after :meth:`close`, and once the pool is retired with no
@@ -373,26 +363,21 @@ class ParallelRuntime:
             self._executor = None
             self._broken = False
         if self._executor is None:
-            workers = self.workers or os.cpu_count() or 1
-            if self.backend == "processes":
-                handles = tuple(sg.handle for sg in self._shared.values())
-                self._executor = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_worker_init,
-                    initargs=(handles, get_profiler().enabled),
-                )
-            else:
-                # threads share the driver's registry, profiler, and caches
-                self._executor = ThreadPoolExecutor(max_workers=workers)
+            handles = tuple(sg.handle for sg in self._shared.values())
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers or os.cpu_count() or 1,
+                initializer=_worker_init,
+                initargs=(handles, get_profiler().enabled),
+            )
         return self._executor
 
     def mark_broken(self) -> None:
         """Retire the pool: stop it, release the exports, count the break.
 
         Idempotent and thread-safe: the flag flips under a lock, so when
-        several failure sites race in exactly one runs the shutdown.  A
-        process pool's workers are terminated, since ``shutdown`` cannot
-        stop a running task and a wedged worker would otherwise keep the
+        several failure sites race in exactly one runs the shutdown.  The
+        pool's workers are terminated, since ``shutdown`` cannot stop a
+        running task and a wedged worker would otherwise keep the
         driver from exiting.  Retiring before the first map still counts.
         """
         with self._broken_lock:
@@ -408,16 +393,14 @@ class ParallelRuntime:
             _terminate(procs)
         self.release_shared()
 
-    # -- watchdog (supervised process pools only) --------------------------
-    def _healthy(self, executor: Executor) -> bool:
+    # -- watchdog (supervised runs only) -----------------------------------
+    def _healthy(self, executor: ProcessPoolExecutor) -> bool:
         """Watchdog verdict before a map; marks the pool broken on failure.
 
-        Thread pools share the driver process and cannot die on their own,
-        so only supervised process pools are probed: a liveness scan every
-        time, a heartbeat sentinel at most every :data:`HEARTBEAT_INTERVAL`
-        seconds.
+        Only supervised pools are probed: a liveness scan every time, a
+        heartbeat sentinel at most every :data:`HEARTBEAT_INTERVAL` seconds.
         """
-        if not self._policy.supervise or self.backend != "processes":
+        if not self._policy.supervise:
             return True
         if not all(p.is_alive() for p in _worker_processes(executor)):
             self.dead_workers_detected += 1
@@ -435,7 +418,7 @@ class ParallelRuntime:
         self._last_beat = now
         return True
 
-    def _heartbeat(self, executor: Executor) -> bool:
+    def _heartbeat(self, executor: ProcessPoolExecutor) -> bool:
         """Round-trip a sentinel task; False when it times out or errors."""
         self._hb_token += 1
         token = self._hb_token
@@ -450,17 +433,17 @@ class ParallelRuntime:
         self.heartbeats_ok += 1
         return True
 
-    def _await(self, executor: Executor, fut: Future, wait: Optional[float]):
+    def _await(self, executor: ProcessPoolExecutor, fut: Future, wait: Optional[float]):
         """Harvest one future, heartbeat-slicing the wait when supervised.
 
         Without a caller timeout a hung worker would wedge the harvest loop
-        forever.  On a supervised process pool the wait is cut into
+        forever.  On a supervised pool the wait is cut into
         ``heartbeat_timeout``-sized slices with a watchdog check between
         them; a failed check, or a future that outlasts
         :data:`MAX_STALL_BEATS` healthy checks (counted as a hung pool),
         surfaces as an ordinary degrade error.
         """
-        if not self._policy.supervise or self.backend != "processes":
+        if not self._policy.supervise:
             return fut.result(timeout=wait)
         beats = 0
         remaining = wait
@@ -496,11 +479,8 @@ class ParallelRuntime:
         get_profiler().merge(stats.get("spans", {}), stats.get("counters", {}))
 
     def report(self) -> dict:
-        """``run_report()["parallel"]``: backend and worker count, then counters."""
-        out: dict = {
-            "backend": self.backend,
-            "workers": self.workers or os.cpu_count() or 1,
-        }
+        """``run_report()["parallel"]``: worker count, then counters."""
+        out: dict = {"workers": self.workers or os.cpu_count() or 1}
         if self.batches_dispatched:
             out["batches"] = self.batches_dispatched
         if self.cache_hits or self.cache_misses:
@@ -558,11 +538,9 @@ class ParallelRuntime:
         self.close()
 
 
-def _worker_processes(executor: Executor) -> list:
-    """Worker process handles of a process pool (empty for threads)."""
-    if isinstance(executor, ProcessPoolExecutor):
-        return list((executor._processes or {}).values())
-    return []
+def _worker_processes(executor: ProcessPoolExecutor) -> list:
+    """Worker process handles of the pool (empty before its first task)."""
+    return list((executor._processes or {}).values())
 
 
 def _terminate(procs: list) -> None:
@@ -603,8 +581,9 @@ class ExecutionReport:
     ``failures`` counts raised attempts (including ones that later succeeded
     on retry); ``skipped`` counts items that exhausted their attempts and
     ``deadline_skipped`` items never finished because the budget expired —
-    both appear as ``None`` in the result list.  ``final_executor`` is the
-    pool's backend, or ``"serial"`` when the work finished inline.
+    both appear as ``None`` in the result list.  ``final_executor`` is
+    ``"processes"`` when the pool finished the work, ``"serial"`` when it
+    finished inline.
     """
 
     final_executor: str = "serial"
@@ -720,8 +699,8 @@ def resilient_map(
         raise ValueError("max_retries must be >= 0")
     executor = parallel.executor() if parallel is not None else None
     report = ExecutionReport(items=len(items))
-    if parallel is not None and executor is not None:
-        report.final_executor = parallel.backend
+    if executor is not None:
+        report.final_executor = "processes"
     results: List[Optional[R]] = [None] * len(items)
     if not items:
         return results, report

@@ -182,8 +182,8 @@ class SharedGraphHandle:
 
     ``blocks`` maps each array field to its shared-memory block:
     ``(field, block_name, dtype_str, shape)``.  An empty ``blocks`` tuple
-    marks a *local* handle (serial/threads backends): it resolves through
-    the in-process registry and can never be rehydrated in another process.
+    marks a *local* handle (a retired pool's inline fallback): it resolves
+    through the in-process registry and can never be rehydrated in another process.
     """
 
     token: str

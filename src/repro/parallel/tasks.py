@@ -14,9 +14,9 @@ worker-local telemetry deltas — per-worker :class:`CutCache` hit/miss
 counts and :class:`PhaseProfiler` span and counter deltas — that the driver
 merges back into the parent run report via
 :meth:`~.pool.ParallelRuntime.note_batch`.  Profiler deltas are only
-reported from real pool workers (``in_worker()``); on threads and inline
-the work already runs in the driver process, where the global profiler
-records it directly, and reporting deltas would double-count.
+reported from real pool workers (``in_worker()``); inline the work already
+runs in the driver process, where the global profiler records it
+directly, and reporting deltas would double-count.
 """
 
 from __future__ import annotations

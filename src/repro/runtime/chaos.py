@@ -87,7 +87,7 @@ class ChaosPlan(FaultPlan):
 
         Like :meth:`FaultPlan.should_crash`, kills are exclusive to the
         ``"process"`` site: it is only visited inside pool workers, so the
-        driver (and thread/serial fallback tiers) can never kill itself.
+        driver (and its inline fallback tier) can never kill itself.
         """
         if site != "process":
             return False

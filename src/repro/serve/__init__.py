@@ -4,8 +4,8 @@ The :mod:`repro.crp` package answers one query on one overlay; this
 package turns that into a *server*: a persistent
 :class:`~repro.serve.engine.ServingEngine` holding customized metrics in
 an LRU (:class:`~repro.serve.metric_cache.MetricLRU`), serving batched
-queries through reusable :class:`~repro.serve.workspace.SearchWorkspace`
-state, and a replay harness (:mod:`repro.serve.replay`) that measures
+queries one caller at a time through one reusable
+:class:`~repro.serve.workspace.SearchWorkspace`, and a replay harness (:mod:`repro.serve.replay`) that measures
 QPS / tail latency / hit rates on seeded synthetic workloads.  Answers
 are bit-identical to the scalar single-query path by construction and by
 test.

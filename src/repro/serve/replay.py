@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..graph.graph import Graph
-from ..parallel.pool import ParallelRuntime
 from .engine import ServingEngine
 
 __all__ = ["QueryLog", "ReplayResult", "replay", "synthetic_query_log"]
@@ -143,12 +142,7 @@ class ReplayResult:
         )
 
 
-def replay(
-    engine: ServingEngine,
-    log: QueryLog,
-    batch_size: int = 50,
-    pool: Optional[ParallelRuntime] = None,
-) -> ReplayResult:
+def replay(engine: ServingEngine, log: QueryLog, batch_size: int = 50) -> ReplayResult:
     """Drive ``engine`` through ``log`` and measure serving behavior.
 
     Each batch first activates its scheduled profile via
@@ -183,9 +177,7 @@ def replay(
         hi = min(lo + batch_size, k)
         engine.customize(log.profiles[int(log.batch_profile[b])])
         t0 = perf_counter()
-        distances[lo:hi] = engine.query_batch(
-            log.sources[lo:hi], log.targets[lo:hi], pool=pool
-        )
+        distances[lo:hi] = engine.query_batch(log.sources[lo:hi], log.targets[lo:hi])
         dt = perf_counter() - t0
         query_s += dt
         per_query_ms = (dt / (hi - lo)) * 1e3

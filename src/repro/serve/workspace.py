@@ -3,9 +3,9 @@
 A scalar :func:`~repro.crp.query.crp_query` allocates a fresh distance
 dict, settled set, and heap per call.  At serving rates those allocations
 dominate: a :class:`SearchWorkspace` preallocates flat distance/settled
-tables once per worker and invalidates them with a version stamp — O(1)
+tables once per engine and invalidates them with a version stamp — O(1)
 per query instead of O(touched) re-initialization — and reuses one heap
-buffer across the whole batch.
+buffer across every query.
 
 Plain Python lists, not NumPy arrays: the query kernels index one element
 at a time, where list access returns native ints/floats without the
@@ -25,8 +25,8 @@ class SearchWorkspace:
 
     ``dist[v]`` is only meaningful while ``dist_stamp[v] == clock``;
     bumping the clock invalidates every entry at once.  One workspace
-    serves one worker at a time (not thread-safe by design — the batched
-    front end checks one workspace out per worker).
+    serves one search at a time (not thread-safe by design — the engine
+    that owns it serves one caller at a time).
     """
 
     __slots__ = ("n", "clock", "dist", "dist_stamp", "done_stamp", "heap", "reuses")
@@ -51,7 +51,8 @@ class SearchWorkspace:
         return self.clock
 
     def resize(self, n: int) -> None:
-        """Grow the tables to serve a graph of ``n`` vertices."""
+        """Grow the tables to serve a graph of ``n`` vertices (never shrinks;
+        called when a structural update adds vertices)."""
         if n > self.n:
             grow = n - self.n
             self.dist.extend([0.0] * grow)

@@ -92,7 +92,9 @@ class TestExperimentDrivers:
         from repro.parallel import ParallelRuntime, resilient_map
 
         assert resilient_map(lambda x: x + 1, [1, 2, 3])[0] == [2, 3, 4]
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
-            assert resilient_map(lambda x: x * 2, [1, 2], parallel=rt)[0] == [2, 4]
-        with pytest.raises(ValueError):
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
+            results, report = resilient_map(abs, [-1, -2], parallel=rt)
+        assert results == [1, 2]
+        assert report.final_executor == "processes"
+        with pytest.raises(TypeError):
             ParallelConfig(backend="gpu")

@@ -62,12 +62,26 @@ class TestPartition:
 
 
 class TestExecutorFlags:
-    def test_partition_executor_backends_agree(self, gr_file, tmp_path, capsys):
-        """No --executor flag, threads and processes write identical labels."""
+    def test_partition_executor_backends_agree(
+        self, gr_file, tmp_path, capsys, monkeypatch
+    ):
+        """``--workers 2`` alone runs the work on 2 worker processes, no
+        flag runs it inline, and both write identical labels."""
+        import repro.core.punch as punch_mod
+        from repro.core.config import ParallelConfig
+
+        real_run_punch = punch_mod.run_punch
+        runs = []
+
+        def spy(g, U, cfg, **kwargs):
+            res = real_run_punch(g, U, cfg, **kwargs)
+            runs.append((cfg.parallel, res.parallel_report))
+            return res
+
+        monkeypatch.setattr(punch_mod, "run_punch", spy)
         paths = {}
-        for backend in (None, "threads", "processes"):
-            out = tmp_path / f"labels_{backend}.txt"
-            pool = [] if backend is None else ["--executor", backend, "--workers", "2"]
+        for pool in ([], ["--workers", "2"]):
+            out = tmp_path / f"labels_{len(pool)}.txt"
             rc = main(
                 [
                     "partition", gr_file, "-U", "100", "--seed", "1",
@@ -75,23 +89,38 @@ class TestExecutorFlags:
                 ]
             )
             assert rc == 0
-            paths[backend] = np.loadtxt(out, dtype=int)
+            paths[bool(pool)] = np.loadtxt(out, dtype=int)
         capsys.readouterr()
-        assert np.array_equal(paths[None], paths["threads"])
-        assert np.array_equal(paths[None], paths["processes"])
+        assert np.array_equal(paths[False], paths[True])
+        (inline_cfg, inline_report), (pool_cfg, pool_report) = runs
+        assert inline_cfg is None and inline_report == {}
+        assert pool_cfg == ParallelConfig(workers=2)
+        assert pool_report["workers"] == 2 and pool_report["batches"] > 0
 
     def test_serial_executor_rejected(self, gr_file):
         with pytest.raises(SystemExit):
             main(["partition", gr_file, "-U", "100", "--executor", "serial"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "GRAPH", "-U", "100", "--executor", "processes"],
+            ["balanced", "GRAPH", "-k", "3", "--executor", "threads"],
+            ["replay", "GRAPH", "-U", "100", "--executor", "threads"],
+            ["replay", "GRAPH", "-U", "100", "--workers", "2"],
+        ],
+    )
+    def test_removed_pool_flags_rejected(self, gr_file, argv, capsys):
+        """There is no executor kind to pick, and replay serves inline only:
+        argparse rejects these flags (exit code 2) before any work runs."""
+        with pytest.raises(SystemExit) as exc:
+            main([gr_file if a == "GRAPH" else a for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_invalid_workers_rejected(self, gr_file):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "partition", gr_file, "-U", "100",
-                    "--executor", "threads", "--workers", "0",
-                ]
-            )
+        with pytest.raises(SystemExit, match="workers"):
+            main(["partition", gr_file, "-U", "100", "--workers", "0"])
 
 
 class TestBalanced:

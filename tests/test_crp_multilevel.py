@@ -87,19 +87,3 @@ class TestMultiLevelAccessors:
         g, nested, mlo = setup
         assert mlo.total_clique_edges() == sum(o.clique_edges for o in mlo.overlays)
         assert mlo.total_clique_edges() > 0
-
-
-class TestMultiLevelReferenceTwin:
-    def test_build_bit_identical_to_reference(self, setup):
-        """Vectorized multilevel build matches the scalar twin exactly."""
-        from repro.crp.multilevel import build_multilevel_overlay_reference
-
-        g, nested, mlo = setup
-        ref = build_multilevel_overlay_reference(nested)
-        assert len(ref.overlays) == len(mlo.overlays)
-        for ro, vo in zip(ref.overlays, mlo.overlays):
-            assert set(ro.adj) == set(vo.adj)
-            for v in ro.adj:
-                assert ro.adj[v] == vo.adj[v]  # entries, order, and bits
-            assert ro.boundary_of_cell == vo.boundary_of_cell
-            assert (ro.clique_edges, ro.cut_edges) == (vo.clique_edges, vo.cut_edges)

@@ -104,7 +104,7 @@ class TestEngineConformance:
             assert_valid_cut(prob, value, side)
 
     def test_executor_parity(self, engine):
-        # inline ≡ threads: the detected cut-edge set is bit-identical
+        # inline ≡ processes: the detected cut-edge set is bit-identical
         from contextlib import nullcontext
 
         from repro.core.config import ParallelConfig
@@ -112,12 +112,8 @@ class TestEngineConformance:
 
         g = road_network(n_target=400, seed=9)
         runs = []
-        for backend in (None, "threads"):
-            runtime = (
-                nullcontext()
-                if backend is None
-                else ParallelRuntime(ParallelConfig(backend=backend, workers=2))
-            )
+        for pooled in (False, True):
+            runtime = ParallelRuntime(ParallelConfig(workers=2)) if pooled else nullcontext()
             with runtime as rt:
                 cut_ids, _ = detect_natural_cuts(
                     g, 48, C=1, rng=np.random.default_rng(3), parallel=rt

@@ -127,13 +127,13 @@ class TestDetectNaturalCuts:
         assert stats.cut_edges_marked > 0
         assert len(stats.cut_values) == stats.problems_solved
 
-    def test_executor_threads_equivalent_set(self):
+    def test_executor_processes_equivalent_set(self):
         from repro.core.config import ParallelConfig
         from repro.parallel import ParallelRuntime
 
         g = grid_with_walls(8, 16, wall_cols=[7])
         a, _ = detect_natural_cuts(g, U=32, rng=np.random.default_rng(4))
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             b, stats = detect_natural_cuts(g, U=32, rng=np.random.default_rng(4), parallel=rt)
         assert np.array_equal(a, b)
-        assert stats.final_executor == "threads"
+        assert stats.final_executor == "processes"

@@ -1,11 +1,11 @@
-"""The determinism contract: inline = threads = processes, bit for bit.
+"""The determinism contract: inline = processes, bit for bit.
 
 Enabling the parallel runtime must never change the answer.  These tests
-pin (1) natural-cut detection: every backend produces exactly the inline
-cut-edge set, (2) the end-to-end drivers: partitions are bit-identical
-with no runtime and on either backend, with and without checkpointing, and
-(3) resume: a run killed by its budget and resumed from its checkpoint
-ends with the uninterrupted run's labels.
+pin (1) natural-cut detection: the process pool produces exactly the
+inline cut-edge set, (2) the end-to-end drivers: partitions are
+bit-identical with no runtime and on the pool, with and without
+checkpointing, and (3) resume: a run killed by its budget and resumed
+from its checkpoint ends with the uninterrupted run's labels.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from repro.synthetic import instance
 
 from .conftest import TickClock
 
-#: None = no runtime (every task inline), the reference for both pools
-BACKENDS = (None, "threads", "processes")
+#: None = no runtime (every task inline), the reference for the pool
+BACKENDS = (None, "processes")
 
 
 def _parallel(backend):
-    return None if backend is None else ParallelConfig(backend=backend, workers=2)
+    return None if backend is None else ParallelConfig(workers=2)
 
 
 def _small_balanced(backend=None, **runtime) -> BalancedConfig:
@@ -66,7 +66,7 @@ class TestNaturalCutDeterminism:
     def test_backends_match_legacy_cut_edges(self, lux):
         ids0, stats0 = detect_natural_cuts(lux, 150, rng=np.random.default_rng(3))
         for backend in BACKENDS[1:]:
-            with ParallelRuntime(ParallelConfig(backend=backend, workers=2)) as rt:
+            with ParallelRuntime(_parallel(backend)) as rt:
                 ids, stats = detect_natural_cuts(
                     lux, 150, rng=np.random.default_rng(3), parallel=rt
                 )
@@ -77,7 +77,7 @@ class TestNaturalCutDeterminism:
         """Batch geometry (1 vs 3 workers) must not change the cut set."""
         outs = []
         for workers in (1, 3):
-            with ParallelRuntime(ParallelConfig(backend="processes", workers=workers)) as rt:
+            with ParallelRuntime(ParallelConfig(workers=workers)) as rt:
                 ids, _ = detect_natural_cuts(
                     lux, 150, rng=np.random.default_rng(3), parallel=rt
                 )
@@ -87,7 +87,7 @@ class TestNaturalCutDeterminism:
 
 class TestEndToEndDeterminism:
     def test_run_punch_bit_identical_across_backends(self, lux):
-        """Multistart: the inline run and both pools return the same
+        """Multistart: the inline run and the pool return the same
         partition."""
         self._check_run_punch(lux, combination=False)
 
@@ -108,9 +108,8 @@ class TestEndToEndDeterminism:
             res = run_punch(lux, 150, cfg)
             labels[backend] = res.partition.labels
             costs[backend] = res.cost
-        assert np.array_equal(labels[None], labels["threads"])
         assert np.array_equal(labels[None], labels["processes"])
-        assert costs[None] == costs["threads"] == costs["processes"]
+        assert costs[None] == costs["processes"]
 
     def test_balanced_bit_identical_across_backends(self, lux):
         from repro.balanced.driver import run_balanced_punch
@@ -123,7 +122,6 @@ class TestEndToEndDeterminism:
             assert res.feasible()
             assert len(res.unbalanced_costs) == 3
             labels[backend] = res.partition.labels
-        assert np.array_equal(labels[None], labels["threads"])
         assert np.array_equal(labels[None], labels["processes"])
 
     def test_checkpointing_does_not_change_balanced_labels(self, tmp_path):
@@ -134,11 +132,11 @@ class TestEndToEndDeterminism:
 
         g = named("mini_like")
         runs = {}
-        for backend in (None, "threads"):
+        for backend in BACKENDS:
             for ckpt in (None, str(tmp_path / f"{backend}.ckpt")):
                 cfg = _small_balanced(backend, checkpoint_path=ckpt)
                 runs[backend, ckpt is not None] = run_balanced_punch(g, 4, None, cfg)
-        assert (tmp_path / "threads.ckpt").exists()
+        assert (tmp_path / "processes.ckpt").exists()
         base = runs[None, False]
         assert len(base.unbalanced_costs) == 3
         for res in runs.values():
@@ -150,10 +148,11 @@ class TestEndToEndDeterminism:
         assert res.parallel_report == {}
         assert "parallel" not in res.run_report()
 
-        cfg = PunchConfig(seed=7, parallel=ParallelConfig(backend="threads", workers=2))
+        cfg = PunchConfig(seed=7, parallel=ParallelConfig(workers=2))
         res = run_punch(lux, 150, cfg)
-        assert res.parallel_report.get("backend") == "threads"
-        assert res.run_report()["parallel"]["backend"] == "threads"
+        assert res.parallel_report.get("workers") == 2
+        assert res.run_report()["parallel"]["workers"] == 2
+        assert "backend" not in res.parallel_report
 
 
 class TestParallelCheckpointResume:
@@ -181,7 +180,7 @@ class TestParallelCheckpointResume:
         ckpt = tmp_path / "ms.ckpt"
         cfg = AssemblyConfig(multistart=6)
 
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             best1, stats1 = multistart(
                 frag,
                 150,
@@ -195,7 +194,7 @@ class TestParallelCheckpointResume:
         assert stats1.deadline_expired
         assert ckpt.exists()
 
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             best2, stats2 = multistart(
                 frag,
                 150,
@@ -208,7 +207,7 @@ class TestParallelCheckpointResume:
         assert not stats2.deadline_expired
         assert best2.cost <= best1.cost
 
-    @pytest.mark.parametrize("backend", [None, "threads"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_budget_kill_in_first_wave_resumes_bit_identical(
         self, frag, backend, tmp_path
     ):
@@ -251,7 +250,7 @@ class TestParallelCheckpointResume:
 
 
 class TestBalancedBudgetKillResume:
-    @pytest.mark.parametrize("backend", [None, "threads"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_kill_between_rebalances_resumes_bit_identical(self, backend, tmp_path):
         """A balanced run killed between rebalance attempts resumes to the
         uninterrupted run's labels, inline and on a pool.  The budget is

@@ -22,6 +22,18 @@ def _probe_item(arg):
     return int(g.n) + x
 
 
+def _square(x):
+    return x * x
+
+
+def _plus_one(x):
+    return x + 1
+
+
+def _double(x):
+    return x * 2
+
+
 def _segment_exists(name: str) -> bool:
     try:
         shm = shared_memory.SharedMemory(name=name)
@@ -63,29 +75,31 @@ class TestLptBatches:
 class TestWorkerPool:
     """The pool a :class:`ParallelRuntime` builds, reuses and retires."""
 
-    def test_threads_map_preserves_order(self):
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=4)) as rt:
-            out, report = resilient_map(lambda x: x * x, list(range(20)), parallel=rt)
+    def test_map_preserves_order(self):
+        with ParallelRuntime(ParallelConfig(workers=4)) as rt:
+            out, report = resilient_map(_square, list(range(20)), parallel=rt)
         assert out == [i * i for i in range(20)]
-        assert report.final_executor == "threads"
+        assert report.final_executor == "processes"
 
     def test_invalid_kind(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelConfig(backend="fibers")
+        # processes are the only pool: there is no backend to choose
+        for kind in ("threads", "fibers"):
+            with pytest.raises(TypeError, match="backend"):
+                ParallelConfig(backend=kind)
 
     def test_invalid_worker_count(self):
         # 0 used to slip through as "all cores"; only None means that
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers"):
-                ParallelConfig(backend="threads", workers=workers)
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=None)) as rt:
+                ParallelConfig(workers=workers)
+        with ParallelRuntime(ParallelConfig(workers=None)) as rt:
             assert rt.report()["workers"] >= 1
 
     def test_mark_broken_fires_callback_once(self):
         """Retiring the pool counts one break and releases the exports
         once, however often it is called."""
         g = random_connected_graph(30, 20, seed=5)
-        with ParallelRuntime(ParallelConfig(backend="processes", workers=1)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=1)) as rt:
             rt.share(g)
             assert rt.executor() is not None
             rt.mark_broken()
@@ -101,7 +115,7 @@ class TestWorkerPool:
         import threading
 
         barrier = threading.Barrier(17)
-        rt = ParallelRuntime(ParallelConfig(backend="threads", workers=1))
+        rt = ParallelRuntime(ParallelConfig(workers=1))
         assert rt.executor() is not None
 
         def storm():
@@ -124,14 +138,14 @@ class TestParallelRuntime:
     def test_serial_backend_is_rejected(self):
         """A run without a pool is ``parallel=None``; there is no serial
         backend, and a graph passed as its own handle resolves to itself."""
-        with pytest.raises(ValueError, match="threads"):
+        with pytest.raises(TypeError, match="backend"):
             ParallelConfig(backend="serial")
         g = make_graph(3, [(0, 1), (1, 2)])
         assert resolve_graph(g) is g
 
     def test_share_is_memoized(self):
         g = random_connected_graph(30, 20, seed=1)
-        with ParallelRuntime(ParallelConfig(backend="processes", workers=1)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=1)) as rt:
             h1 = rt.share(g)
             h2 = rt.share(g)
             assert h1 is h2
@@ -141,7 +155,7 @@ class TestParallelRuntime:
 
     def test_close_unlinks_and_unregisters(self):
         g = random_connected_graph(30, 20, seed=2)
-        rt = ParallelRuntime(ParallelConfig(backend="processes", workers=1))
+        rt = ParallelRuntime(ParallelConfig(workers=1))
         handle = rt.share(g)
         names = rt.active_segment_names()
         assert names and all(_segment_exists(n) for n in names)
@@ -156,11 +170,11 @@ class TestParallelRuntime:
             rt.share(g)
 
     def test_report_counters(self):
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             rt.note_batch({"cache_hits": 3, "cache_misses": 5})
             rt.note_batch(None)
             report = rt.report()
-        assert report["backend"] == "threads"
+        assert "backend" not in report
         assert report["workers"] == 2
         assert report["batches"] == 2
         assert report["worker_cache_hits"] == 3
@@ -177,8 +191,7 @@ class TestParallelRuntime:
 
         g = instance("mini_like")
         counters = {}
-        for backend in (None, "processes"):
-            parallel = None if backend is None else ParallelConfig(backend=backend, workers=2)
+        for parallel in (None, ParallelConfig(workers=2)):
             cfg = PunchConfig(seed=0, assembly=AssemblyConfig(multistart=2), parallel=parallel)
             prof = PhaseProfiler(enabled=True)
             prev = set_profiler(prof)
@@ -186,13 +199,13 @@ class TestParallelRuntime:
                 run_punch(g, 32, cfg)
             finally:
                 set_profiler(prev)
-            counters[backend] = prof.counters
-        assert counters[None]["assembly.ls_instances_built"] > 0
-        assert counters[None]["assembly.ls_instances_reused"] > 0
-        assert counters["processes"] == counters[None]
+            counters[parallel is not None] = prof.counters
+        assert counters[False]["assembly.ls_instances_built"] > 0
+        assert counters[False]["assembly.ls_instances_reused"] > 0
+        assert counters[True] == counters[False]
 
     def test_pool_reuse_same_object(self):
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             assert rt.executor() is rt.executor()
 
     def test_share_after_retirement_stays_local(self, monkeypatch, tmp_path):
@@ -204,7 +217,7 @@ class TestParallelRuntime:
         monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
         g = random_connected_graph(120, 60, seed=4)
         serial_ids, _ = detect_natural_cuts(g, 30, rng=np.random.default_rng(3))
-        with ParallelRuntime(ParallelConfig(backend="processes", workers=2)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             rt.mark_broken()
             assert rt.executor() is None
             before = rt.shared_bytes
@@ -222,17 +235,15 @@ class TestParallelRuntime:
 
 class TestResilientMapPooling:
     def test_pooled_map_runs_on_runtime_pool(self):
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
-            results, report = resilient_map(
-                lambda x: x + 1, list(range(10)), parallel=rt
-            )
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
+            results, report = resilient_map(_plus_one, list(range(10)), parallel=rt)
         assert results == list(range(1, 11))
-        assert report.final_executor == "threads"
+        assert report.final_executor == "processes"
 
     def test_broken_pool_runs_inline(self):
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=2)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             rt.mark_broken()
-            results, report = resilient_map(lambda x: x * 2, [1, 2, 3], parallel=rt)
+            results, report = resilient_map(_double, [1, 2, 3], parallel=rt)
         assert results == [2, 4, 6]
         assert report.final_executor == "serial"
         # a pool retired before the map is not a new degradation
@@ -250,7 +261,7 @@ class TestDegradation:
         """
         g = random_connected_graph(40, 30, seed=3)
         plan = FaultPlan(seed=1, crash_rate=1.0, sites=("process",))
-        with ParallelRuntime(ParallelConfig(backend="processes", workers=2)) as rt:
+        with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             handle = rt.share(g)
             names = rt.active_segment_names()
             assert names
@@ -289,9 +300,7 @@ class TestDegradation:
         g = random_connected_graph(120, 60, seed=4)
         asm = AssemblyConfig(multistart=4)
         serial = run_punch(g, 30, PunchConfig(seed=7, assembly=asm))
-        cfg = PunchConfig(
-            seed=7, assembly=asm, parallel=ParallelConfig(backend="processes", workers=2)
-        )
+        cfg = PunchConfig(seed=7, assembly=asm, parallel=ParallelConfig(workers=2))
         with ParallelRuntime(cfg.parallel) as rt:
             rt.mark_broken()
 
@@ -335,7 +344,7 @@ class TestDegradation:
         g = random_connected_graph(120, 60, seed=4)
         cfg = PunchConfig(
             seed=9,
-            parallel=ParallelConfig(backend="processes", workers=2),
+            parallel=ParallelConfig(workers=2),
             runtime=RuntimeConfig(
                 fault_plan=FaultPlan(seed=2, crash_rate=1.0, sites=("process",))
             ),

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -27,8 +25,22 @@ def slow_if_odd(x):
     return x
 
 
-def _runtime(kind, workers):
-    return ParallelRuntime(ParallelConfig(backend=kind, workers=workers))
+def fail_item_three_once(arg):
+    """Item 3 raises on its first attempt; every call leaves a mark file.
+
+    Pool workers are separate processes, so attempts are counted through
+    the file system rather than in a parent-side counter.
+    """
+    x, root = arg
+    calls = len(list(root.glob(f"{x}-*")))
+    (root / f"{x}-{calls}").touch()
+    if x == 3 and calls == 0:
+        raise ValueError("first attempt fails")
+    return x
+
+
+def _runtime(workers):
+    return ParallelRuntime(ParallelConfig(workers=workers))
 
 
 def _policy(plan=None, max_retries=2):
@@ -37,37 +49,38 @@ def _policy(plan=None, max_retries=2):
 
 
 class TestMapSubproblemsEdgeCases:
-    """Edge cases of a subproblem map: empty input, worker counts, backends.
+    """Edge cases of a subproblem map: empty input, worker counts.
 
-    A map runs inline or on the run's one pool, whose backend and worker
-    count come from :class:`ParallelConfig`, so that is where bad values
+    A map runs inline or on the run's one process pool, whose worker
+    count comes from :class:`ParallelConfig`, so that is where bad values
     are rejected.
     """
 
     def test_empty_items_short_circuit(self):
         # an empty map dispatches nothing, whatever runtime it is handed
         assert resilient_map(double, [])[0] == []
-        for kind in ("threads", "processes"):
-            with _runtime(kind, 1) as rt:
-                results, report = resilient_map(double, [], parallel=rt)
-                assert results == []
-                assert report.items == 0
-                assert report.final_executor == kind
-                assert rt.pool_breaks == 0
+        with _runtime(1) as rt:
+            results, report = resilient_map(double, [], parallel=rt)
+            assert results == []
+            assert report.items == 0
+            assert report.final_executor == "processes"
+            assert rt.pool_breaks == 0
 
     def test_workers_zero_rejected(self):
         # 0 does not mean "all cores"; only None does
         with pytest.raises(ValueError, match="workers"):
-            ParallelConfig(backend="threads", workers=0)
-        assert ParallelConfig(backend="threads", workers=None).workers is None
+            ParallelConfig(workers=0)
+        assert ParallelConfig(workers=None).workers is None
 
     def test_workers_negative_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            ParallelConfig(backend="processes", workers=-3)
+            ParallelConfig(workers=-3)
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelConfig(backend="gpu")
+        # there is no executor kind to pick: processes are the only pool
+        for kind in ("gpu", "threads"):
+            with pytest.raises(TypeError, match="backend"):
+                ParallelConfig(backend=kind)
 
 
 class TestResilientMapSerial:
@@ -130,16 +143,18 @@ class TestResilientMapSerial:
 
 
 class TestResilientMapPooled:
-    def test_threads_clean(self):
-        with _runtime("threads", 4) as rt:
+    def test_processes_clean(self):
+        with _runtime(4) as rt:
             results, report = resilient_map(double, list(range(16)), parallel=rt)
         assert results == [2 * i for i in range(16)]
-        assert report.final_executor == "threads"
+        assert report.final_executor == "processes"
 
     def test_timeout_counts_and_skips(self):
-        # leaving the block waits for the sleepers, so no stray thread is
-        # alive when a later test forks a process pool
-        with _runtime("threads", 6) as rt:
+        # leaving the block waits for the sleepers, so no stray worker is
+        # busy when a later test builds a pool
+        with _runtime(6) as rt:
+            # start the workers first, so only the sleepers can time out
+            assert resilient_map(double, list(range(6)), parallel=rt)[1].succeeded == 6
             results, report = resilient_map(
                 slow_if_odd, list(range(6)), parallel=rt,
                 runtime=_policy(max_retries=0), timeout=0.5,
@@ -152,7 +167,7 @@ class TestResilientMapPooled:
     def test_processes_unpicklable_degrades(self):
         # a lambda cannot cross a process boundary: every result is computed
         # inline instead, and the healthy pool stays in service
-        with _runtime("processes", 2) as rt:
+        with _runtime(2) as rt:
             results, report = resilient_map(lambda x: x + 1, list(range(8)), parallel=rt)
             assert rt.pool_breaks == 0
             assert resilient_map(double, [4], parallel=rt)[1].final_executor == "processes"
@@ -163,7 +178,7 @@ class TestResilientMapPooled:
     def test_processes_crash_degrades(self):
         # ~40% of first-attempt workers call os._exit -> BrokenProcessPool
         plan = FaultPlan(seed=3, crash_rate=0.4, max_attempt=0, sites=("process",))
-        with _runtime("processes", 2) as rt:
+        with _runtime(2) as rt:
             results, report = resilient_map(
                 double, list(range(12)), parallel=rt, runtime=_policy(plan, max_retries=1)
             )
@@ -173,37 +188,31 @@ class TestResilientMapPooled:
         assert report.executor_degradations == 1
         assert report.final_executor == "serial"
 
-    def test_worker_faults_in_threads_retry(self):
+    def test_worker_faults_in_processes_retry(self):
         plan = FaultPlan(seed=4, failure_rate=0.5, max_attempt=0)
-        with _runtime("threads", 4) as rt:
+        with _runtime(4) as rt:
             results, report = resilient_map(
                 double, list(range(20)), parallel=rt, runtime=_policy(plan)
             )
         assert results == [2 * i for i in range(20)]
         assert report.retries > 0
-        assert report.final_executor == "threads"
+        assert report.final_executor == "processes"
 
-    def test_failing_task_reruns_only_itself(self):
+    def test_failing_task_reruns_only_itself(self, tmp_path):
         """A raising task is retried alone; the items that succeeded are
         not run a second time."""
-        calls = Counter()
-        lock = threading.Lock()
-
-        def flaky(x):
-            with lock:
-                calls[x] += 1
-                first = calls[x] == 1
-            if x == 3 and first:
-                raise ValueError("first attempt fails")
-            return x
-
-        with _runtime("threads", 2) as rt:
+        with _runtime(2) as rt:
             results, report = resilient_map(
-                flaky, list(range(8)), parallel=rt, runtime=_policy()
+                fail_item_three_once,
+                [(x, tmp_path) for x in range(8)],
+                parallel=rt,
+                runtime=_policy(),
             )
         assert results == list(range(8))
         assert report.retries == 1
-        assert calls == Counter({x: 2 if x == 3 else 1 for x in range(8)})
+        assert report.final_executor == "processes"
+        calls = {x: len(list(tmp_path.glob(f"{x}-*"))) for x in range(8)}
+        assert calls == {x: 2 if x == 3 else 1 for x in range(8)}
 
     def test_degradation_order_constant(self):
         assert DEGRADATION_ORDER == ("processes", "serial")

@@ -1,9 +1,9 @@
 """Serving layer: metric LRU, workspace queries, batching, replay, CLI.
 
 The load-bearing contract is bit-identity: everything the engine does —
-stamped-workspace searches, batched serving, LRU-cached customizations,
-thread fan-out — must answer exactly what the scalar single-query path
-answers.  Speed may change; bits may not.
+stamped-workspace searches, batched serving, LRU-cached customizations —
+must answer exactly what the scalar single-query path answers.  Speed may
+change; bits may not.
 """
 
 from __future__ import annotations
@@ -11,17 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.nested import run_nested_punch
 from repro.core.punch import run_punch
 from repro.crp import (
-    build_multilevel_overlay,
     build_overlay,
     build_overlay_reference,
     crp_query,
-    customize_multilevel_overlay,
     customize_overlay,
     customize_overlay_reference,
-    ml_query,
 )
 from repro.serve import (
     MetricLRU,
@@ -146,28 +142,6 @@ class TestEngineBitIdentity:
         for i, (s, t) in enumerate(zip(S, T)):
             assert _same(crp_query(ov, int(s), int(t))[0], float(cold[i]))
 
-    def test_multilevel_engine_matches_ml_query(self, road_small):
-        nested = run_nested_punch(road_small, [16, 64])
-        mlo = build_multilevel_overlay(nested)
-        eng = ServingEngine(mlo)
-        S, T = _pairs(road_small, 50, 4)
-        for s, t in zip(S, T):
-            d_ref, n_ref = ml_query(mlo, int(s), int(t))
-            d, n = eng.query(int(s), int(t))
-            assert _same(d_ref, d) and n_ref == n
-
-    def test_multilevel_customize_matches(self, road_small):
-        nested = run_nested_punch(road_small, [16, 64])
-        mlo = build_multilevel_overlay(nested)
-        eng = ServingEngine(mlo)
-        rng = np.random.default_rng(5)
-        w = rng.integers(1, 10, road_small.m).astype(np.float64)
-        eng.customize(w)
-        mlo2 = customize_multilevel_overlay(mlo, w)
-        S, T = _pairs(road_small, 30, 6)
-        for s, t in zip(S, T):
-            assert _same(ml_query(mlo2, int(s), int(t))[0], eng.query(int(s), int(t))[0])
-
 
 # ---------------------------------------------------------------------------
 # Vectorized customization vs scalar reference
@@ -199,41 +173,6 @@ class TestVectorizedCustomization:
 
 
 # ---------------------------------------------------------------------------
-# Fan-out
-# ---------------------------------------------------------------------------
-
-
-class TestFanout:
-    def test_thread_pool_fanout_bit_identical(self, served):
-        from repro.core.config import ParallelConfig
-        from repro.parallel import ParallelRuntime
-
-        g, _, overlay = served
-        eng = ServingEngine(overlay, ServingConfig(fanout_chunk=16))
-        S, T = _pairs(g, 100, 8)
-        inline = eng.query_batch(S, T)
-        with ParallelRuntime(ParallelConfig(backend="threads", workers=4)) as rt:
-            fanned = eng.query_batch(S, T, pool=rt)
-        assert np.array_equal(inline, fanned)
-        assert eng.counters.fanout_batches == 1
-
-    def test_process_pool_degrades_inline(self, served):
-        from repro.core.config import ParallelConfig
-        from repro.parallel import ParallelRuntime
-
-        g, _, overlay = served
-        eng = ServingEngine(overlay, ServingConfig(fanout_chunk=16))
-        S, T = _pairs(g, 40, 9)
-        inline = eng.query_batch(S, T)
-        # process workers cannot see the driver-resident overlay
-        with ParallelRuntime(ParallelConfig(backend="processes", workers=1)) as rt:
-            degraded = eng.query_batch(S, T, pool=rt)
-        assert np.array_equal(inline, degraded)
-        assert eng.counters.fanout_degraded == 1
-        assert eng.counters.fanout_batches == 0
-
-
-# ---------------------------------------------------------------------------
 # Counters and reporting
 # ---------------------------------------------------------------------------
 
@@ -255,13 +194,20 @@ class TestCountersAndReport:
         eng.reset_counters()
         assert eng.stats()["queries"] == 0
 
-    def test_stats_disabled_still_bit_identical(self, served):
+    def test_one_serving_path(self, served):
+        """The engine has no fan-out, stats switch or multi-level mode: the
+        config holds only the LRU size, a batch takes no pool, and the
+        stats carry no mode, fan-out or workspace-pool keys."""
         g, _, overlay = served
-        on = ServingEngine(overlay, ServingConfig(collect_stats=True))
-        off = ServingEngine(overlay, ServingConfig(collect_stats=False))
-        S, T = _pairs(g, 30, 11)
-        assert np.array_equal(on.query_batch(S, T), off.query_batch(S, T))
-        assert off.stats()["queries"] == 0  # counters never moved
+        for removed in ("collect_stats", "fanout_chunk"):
+            with pytest.raises(TypeError, match=removed):
+                ServingConfig(**{removed: 1})
+        eng = ServingEngine(overlay)
+        with pytest.raises(TypeError, match="pool"):
+            eng.query_batch([0], [1], pool=None)
+        st = eng.stats()
+        for key in ("mode", "fanout_batches", "fanout_degraded", "workspaces", "stats_enabled"):
+            assert key not in st
 
 
 # ---------------------------------------------------------------------------

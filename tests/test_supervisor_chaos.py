@@ -61,9 +61,9 @@ def _sleep_in_worker(x):
     return 2 * x
 
 
-def _supervised(kind="processes", workers=1, **runtime):
+def _supervised(workers=1, **runtime):
     return ParallelRuntime(
-        ParallelConfig(backend=kind, workers=workers),
+        ParallelConfig(workers=workers),
         RuntimeConfig(supervise=True, **runtime),
     )
 
@@ -143,7 +143,7 @@ class TestShmRegistry:
 
     def test_shared_graph_export_registers_and_cleans_up(self):
         g = random_connected_graph(40, 20, seed=0)
-        rt = ParallelRuntime(ParallelConfig(backend="processes", workers=2))
+        rt = ParallelRuntime(ParallelConfig(workers=2))
         try:
             handle = rt.share(g)
             assert handle.token in registered_tokens()
@@ -171,12 +171,6 @@ class TestSupervisorWatchdog:
             RuntimeConfig(heartbeat_timeout=0)
         with pytest.raises(ValueError):
             RuntimeConfig(max_pool_restarts=-1)
-
-    def test_thread_pools_are_trusted(self, probe_every_check):
-        with _supervised("threads") as rt:
-            assert rt._healthy(rt.executor()) is True
-            assert rt.heartbeats_ok == 0
-            assert rt.supervisor_report() == {"enabled": True}
 
     def test_heartbeat_ok_on_healthy_pool(self, probe_every_check):
         with _supervised(heartbeat_timeout=30.0) as rt:
@@ -228,7 +222,7 @@ class TestSupervisorWatchdog:
             assert rt.hung_pools_detected == 1
 
     def test_restart_budget(self):
-        with _supervised("threads", max_pool_restarts=2) as rt:
+        with _supervised(max_pool_restarts=2) as rt:
             for _ in range(3):
                 assert rt.executor() is not None
                 rt.mark_broken()
@@ -262,7 +256,7 @@ class TestSupervisorWatchdog:
         name = shm.name
         shm.close()
         register_segments("tok-orphan", [name], pid=_dead_pid())
-        with _supervised("threads") as rt:
+        with _supervised() as rt:
             assert rt.orphans_reaped == 1
             assert rt.supervisor_report()["orphans_reaped"] == 1
         assert not _segment_exists(name)
@@ -386,7 +380,7 @@ class TestChaosEndToEnd:
             runtime=RuntimeConfig(
                 supervise=True, max_pool_restarts=1, fault_plan=plan
             ),
-            parallel=ParallelConfig(backend="processes", workers=2),
+            parallel=ParallelConfig(workers=2),
             seed=7,
         )
         res = run_punch(chaos_graph, 30, cfg)

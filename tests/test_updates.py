@@ -429,15 +429,6 @@ class TestServingIntegration:
         with pytest.raises(RuntimeError, match="enable_updates"):
             eng.apply_update(DeltaBatch((VertexAdd(),)))
 
-    def test_multilevel_updates_unsupported(self):
-        from repro.core.nested import run_nested_punch
-
-        g = random_connected_graph(100, 40, seed=30)
-        nested = run_nested_punch(g, [10, 40], PunchConfig(seed=1))
-        eng = ServingEngine.from_nested(nested)
-        with pytest.raises(NotImplementedError):
-            eng.enable_updates(10)
-
     def test_weight_update_keeps_other_cached_metrics(self):
         g = random_connected_graph(120, 60, seed=31)
         res = run_punch(g, 25, PunchConfig(seed=3))

@@ -65,7 +65,7 @@ def test_sigkill_storm_mid_update_is_bit_identical(start, monkeypatch, tmp_path)
     chaos_cfg = PunchConfig(
         assembly=AssemblyConfig(multistart=4),
         runtime=RuntimeConfig(supervise=True, max_pool_restarts=1, fault_plan=plan),
-        parallel=ParallelConfig(backend="processes", workers=2),
+        parallel=ParallelConfig(workers=2),
         seed=SEED,
     )
     upd, chaotic = _apply(part, batch, chaos_cfg)
