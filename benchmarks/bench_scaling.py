@@ -8,7 +8,7 @@ Standalone script (not a pytest bench):
     REPRO_BENCH_QUICK=1 python benchmarks/bench_scaling.py   # same as --quick
 
 Times natural-cut detection and the end-to-end multistart run without a
-worker pool (every task inline) against the shared-memory pool at several
+worker pool (every task inline) against the process pool at several
 worker counts, and writes ``BENCH_scaling.json`` at the repo root (schema
 ``bench_scaling/v1``; documented in ``docs/PERFORMANCE.md``).
 
@@ -63,7 +63,7 @@ def timed(fn, repeats: int):
 
 
 def bench_filtering(g, worker_counts, repeats):
-    """Natural-cut detection: legacy loop vs pooled sweeps."""
+    """Natural-cut detection: inline vs on the pool."""
 
     def legacy():
         return detect_natural_cuts(g, U, rng=np.random.default_rng(3))[0]

@@ -271,11 +271,7 @@ def multistart(
         stats.iteration_costs.append(float(min(c.cost for c in candidates)))
 
     def dispatch(task, items: list) -> list:
-        # share per wave (memoized): after a pool collapse the export was
-        # released, and a supervised respawn needs fresh segments in place
-        # before the pool is (re)built inside the map
-        handle = g if parallel is None else parallel.share(g)
-        fn = functools.partial(task, handle=handle, U=U, cfg=cfg)
+        fn = functools.partial(task, g=g, U=U, cfg=cfg)
         with profile_span("assembly.multistart_wave"):
             results, report = resilient_map(
                 fn, items, parallel=parallel, runtime=runtime, budget=budget

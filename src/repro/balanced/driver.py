@@ -49,7 +49,7 @@ from ..core.result import BalancedResult
 from ..filtering.pipeline import run_filtering
 from ..graph.graph import Graph
 from ..lint.sanitizer import get_sanitizer
-from ..parallel.pool import ExecutionReport, ParallelRuntime, resilient_map, serial_supervision
+from ..parallel.pool import ExecutionReport, ParallelRuntime, resilient_map
 from ..parallel.tasks import run_start_task
 from ..perf.timers import profile_span
 from ..runtime.budget import RunBudget
@@ -98,18 +98,15 @@ def run_balanced_punch(
         raise ValueError("U* smaller than the largest vertex size; infeasible")
 
     parallel = None
-    supervision: dict = {}
     if config.parallel is not None:
         parallel = ParallelRuntime(config.parallel, config.runtime)
-    else:
-        supervision = serial_supervision(config.runtime)
     try:
         U_filter = max(int(g.vsize.max(initial=1)), U_star // config.filter_divisor)
         filt = run_filtering(
             g, U_filter, config.filter, rng,
             runtime=config.runtime, budget=budget, parallel=parallel,
         )
-        result = balanced_from_fragments(
+        return balanced_from_fragments(
             g,
             filt.fragment_graph,
             filt.map,
@@ -122,9 +119,6 @@ def run_balanced_punch(
             filter_report=filt.run_report(),
             parallel=parallel,
         )
-        if parallel is None:
-            result.supervisor_report = supervision
-        return result
     finally:
         if parallel is not None:
             parallel.close()
@@ -244,7 +238,7 @@ def balanced_from_fragments(
         elif first < n_starts:
             task = functools.partial(
                 run_start_task,
-                handle=frag if parallel is None else parallel.share(frag),
+                g=frag,
                 U=U_star,
                 cfg=asm_cfg,
             )

@@ -84,8 +84,8 @@ def _add_runtime_flags(sp) -> None:
     sp.add_argument(
         "--supervise",
         action="store_true",
-        help="supervise the worker pool: watchdog, pool-restart budget, and "
-        "orphaned shared-memory reaping (see docs/RESILIENCE.md)",
+        help="supervise the worker pool: watchdog and pool-restart budget "
+        "(see docs/RESILIENCE.md)",
     )
     sp.add_argument(
         "--chaos",

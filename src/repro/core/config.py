@@ -69,7 +69,7 @@ class RuntimeConfig:
     checkpoint_generations: int = 2  # rotated .bakN generations kept per checkpoint
     resume: bool = False  # continue from checkpoint_path if it exists
     fault_plan: Optional[FaultPlan] = None  # deterministic fault injection (tests)
-    supervise: bool = False  # worker watchdog + pool restarts + orphan reaping
+    supervise: bool = False  # worker watchdog + pool restarts
     heartbeat_timeout: float = 10.0  # seconds before a heartbeat declares the pool hung
     max_pool_restarts: int = 1  # fresh pools a supervised run may respawn
 
@@ -106,10 +106,6 @@ class FilterConfig:
     tau: int = 5  # tiny-cut tau-merge threshold
     detect_tiny_cuts: bool = True
     detect_natural_cuts: bool = True
-    # memoize min-cut solves by network fingerprint (bit-identical reuse;
-    # see src/repro/perf/cut_cache.py)
-    use_cut_cache: bool = True
-    cut_cache_entries: int = 65536
 
     def __post_init__(self) -> None:
         if not (0 < self.alpha <= 1):
@@ -118,8 +114,6 @@ class FilterConfig:
             raise ValueError("f must be > 1")
         if self.coverage < 1:
             raise ValueError("coverage must be >= 1")
-        if self.cut_cache_entries < 1:
-            raise ValueError("cut_cache_entries must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,13 @@ def run_punch(
     stops iterating when it expires, and the best valid partition found so
     far is returned.  See ``docs/RESILIENCE.md``.
 
-    With ``config.parallel`` set, one shared-memory worker pool
+    With ``config.parallel`` set, one worker pool
     (:class:`~repro.parallel.pool.ParallelRuntime`) is created here, reused
     by natural-cut detection and multistart assembly across all components,
-    and torn down — pool and shared segments — when the run ends, even on
-    error.  An explicit ``parallel`` argument borrows an existing runtime
-    (the caller keeps ownership, and the runtime keeps the supervision
-    policy it was built with).  The partition is bit-identical with and
+    and shut down when the run ends, even on error.  An explicit
+    ``parallel`` argument borrows an existing runtime (the caller keeps
+    ownership, and the runtime keeps the supervision policy it was built
+    with).  The partition is bit-identical with and
     without the pool; see ``docs/PERFORMANCE.md``.
     """
     config = PunchConfig() if config is None else config
@@ -61,24 +61,18 @@ def run_punch(
     if budget is None and config.runtime.time_budget is not None:
         budget = config.runtime.make_budget()
 
-    from ..parallel.pool import ParallelRuntime, serial_supervision
+    from ..parallel.pool import ParallelRuntime
 
     owns_parallel = False
-    supervision: dict = {}
     if parallel is None and config.parallel is not None:
         parallel = ParallelRuntime(config.parallel, config.runtime)
         owns_parallel = True
-    elif parallel is None:
-        supervision = serial_supervision(config.runtime)
     try:
         ncomp, comp = connected_components(g)
         if ncomp > 1:
-            result = _run_per_component(
+            return _run_per_component(
                 g, U, config, rng, ncomp, comp, budget, parallel, cut_cache
             )
-            if parallel is None:
-                result.supervisor_report = supervision
-            return result
 
         filt = run_filtering(
             g,
@@ -119,9 +113,7 @@ def run_punch(
             time_natural=filt.time_natural,
             time_assembly=time_assembly,
             parallel_report=parallel.report() if parallel is not None else {},
-            supervisor_report=(
-                parallel.supervisor_report() if parallel is not None else supervision
-            ),
+            supervisor_report=parallel.supervisor_report() if parallel is not None else {},
         )
     finally:
         if owns_parallel:

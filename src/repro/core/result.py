@@ -57,11 +57,11 @@ class PunchResult:
     time_tiny: float
     time_natural: float
     time_assembly: float
-    # worker-pool telemetry (worker count, merged per-worker cache counters,
-    # shared bytes, pool breaks); empty when the run had no worker pool
+    # worker-pool telemetry (worker count, batches, pool breaks and
+    # restarts); empty when the run had no worker pool
     parallel_report: dict = field(default_factory=dict)
-    # supervision telemetry (watchdog detections, restarts, reaped orphans);
-    # empty when the run was unsupervised
+    # supervision telemetry (watchdog detections, heartbeats, restarts);
+    # empty when the run was unsupervised or had no worker pool
     supervisor_report: dict = field(default_factory=dict)
     # one result per multi-vertex component of a disconnected input; the
     # fragment count, the run report and assembly_stats (counters and
@@ -173,7 +173,8 @@ class BalancedResult:
     filter_report: dict = field(default_factory=dict)
     # worker-pool telemetry; empty when the run had no worker pool
     parallel_report: dict = field(default_factory=dict)
-    # supervision telemetry; empty when the run was unsupervised
+    # supervision telemetry; empty when the run was unsupervised or had no
+    # worker pool
     supervisor_report: dict = field(default_factory=dict)
 
     @property

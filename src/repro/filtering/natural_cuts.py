@@ -15,8 +15,11 @@ uncovered vertices, so this is equivalent to the paper's rule while keeping
 the sweep O(n).
 
 Mirroring the paper's parallelization, each sweep first *collects* all
-subproblems sequentially (BFS + core marking, which determines the centers),
-then solves the min-cut instances inline or on the run's worker pool.
+subproblems sequentially (BFS + core marking, which determines the centers,
+and the contracted flow networks), answers the ones the driver's
+:class:`~repro.perf.cut_cache.CutCache` already holds, then solves the rest
+inline or in size-balanced batches on the run's worker pool; a batch carries
+its subproblems by value.
 
 Resilience (see ``docs/RESILIENCE.md``): subproblems run through
 :func:`~repro.parallel.pool.resilient_map`, each min-cut solve falls back
@@ -44,6 +47,7 @@ from ..graph.graph import Graph
 from ..graph.traversal import BFSWorkspace, grow_bfs_region
 from ..lint.sanitizer import get_sanitizer
 from ..parallel.pool import ExecutionReport, ParallelRuntime, lpt_batches, resilient_map
+from ..parallel.tasks import solve_cut_batch
 from ..perf.cut_cache import CutCache
 from ..perf.timers import profile_span
 from ..runtime.budget import RunBudget
@@ -54,10 +58,9 @@ __all__ = [
     "NaturalCutStats",
     "detect_natural_cuts",
     "collect_cut_problems",
-    "collect_cut_regions",
 ]
 
-#: LPT scheduling granularity of the pooled sweep: center batches per worker
+#: LPT scheduling granularity on a pool: subproblem batches per worker
 #: (more batches = better load balance, more dispatch overhead)
 BATCHES_PER_WORKER = 4
 
@@ -122,35 +125,29 @@ class NaturalCutStats:
         self.error_samples.extend(report.error_samples[:room])
 
 
-def _collect_sweep(
+def collect_cut_problems(
     g: Graph,
     U: int,
     alpha: float,
     f: float,
     rng: np.random.Generator,
-    stats: NaturalCutStats | None,
-    budget: RunBudget | None,
-    build: bool,
-) -> list:
-    """The shared center-picking sweep behind both collect functions.
+    stats: NaturalCutStats | None = None,
+    budget: RunBudget | None = None,
+) -> List[CutProblem]:
+    """One coverage sweep: pick centers until every vertex is in some core.
 
-    With ``build=True`` every non-exhausted region is turned into a
-    :class:`CutProblem` (the sequential path); with ``build=False`` only
-    ``(center, ring_size)`` pairs are recorded — the pool path re-grows the
-    region inside the worker (region growth is a pure function of the
-    center, independent of the covered mask, so the worker reconstructs it
-    exactly), and the ring size feeds the LPT cost estimate.  Both modes
-    consume the RNG identically, which keeps everything downstream of the
-    sweep on the same random stream regardless of executor.
+    Returns the list of min-cut subproblems (regions whose BFS exhausted a
+    component produce no problem — there is nothing to cut there).  When
+    ``budget`` expires mid-sweep, the sweep stops and returns the problems
+    collected so far.
     """
     max_size = max(2, int(math.ceil(alpha * U)))
     core_size = max(1, int(math.ceil(alpha * U / f)))
     ws = BFSWorkspace(g.n)
     covered = np.zeros(g.n, dtype=bool)
-    out: list = []
-    # one permutation per sweep is the declared draw contract of BOTH modes
-    # (build=True legacy, build=False pooled) — the serial≡parallel anchor;
-    # the sanitizer replays the declaration and flags any divergence
+    out: List[CutProblem] = []
+    # one permutation per sweep is the declared draw contract; the sanitizer
+    # replays the declaration and flags any divergence
     san = get_sanitizer()
     rng_token = san.rng_begin(rng)
     order = rng.permutation(g.n)
@@ -176,51 +173,10 @@ def _collect_sweep(
             if stats is not None:
                 stats.exhausted_regions += 1
             continue
-        if build:
-            prob = build_cut_problem(g, region, center=center)
-            if prob is not None:
-                out.append(prob)
-        else:
-            out.append((center, int(len(region.ring))))
+        prob = build_cut_problem(g, region, center=center)
+        if prob is not None:
+            out.append(prob)
     return out
-
-
-def collect_cut_problems(
-    g: Graph,
-    U: int,
-    alpha: float,
-    f: float,
-    rng: np.random.Generator,
-    stats: NaturalCutStats | None = None,
-    budget: RunBudget | None = None,
-) -> List[CutProblem]:
-    """One coverage sweep: pick centers until every vertex is in some core.
-
-    Returns the list of min-cut subproblems (regions whose BFS exhausted a
-    component produce no problem — there is nothing to cut there).  When
-    ``budget`` expires mid-sweep, the sweep stops and returns the problems
-    collected so far.
-    """
-    return _collect_sweep(g, U, alpha, f, rng, stats, budget, build=True)
-
-
-def collect_cut_regions(
-    g: Graph,
-    U: int,
-    alpha: float,
-    f: float,
-    rng: np.random.Generator,
-    stats: NaturalCutStats | None = None,
-    budget: RunBudget | None = None,
-) -> List[tuple]:
-    """One coverage sweep collecting only ``(center, ring_size)`` pairs.
-
-    The handle-based pool path uses this: a task then pickles just the
-    center ids of its batch, and the worker rebuilds each subproblem from
-    the shared graph ("including the creation of the relevant subproblem"
-    runs in parallel, exactly as in the paper).
-    """
-    return _collect_sweep(g, U, alpha, f, rng, stats, budget, build=False)
 
 
 def _solve_one(
@@ -303,19 +259,19 @@ def detect_natural_cuts(
     ``cut_cache`` memoizes solves by network fingerprint: subproblems whose
     contracted flow network was already solved reuse the cached
     ``(value, source side)`` instead of running the flow solver again.  The
-    cache is consulted and populated in the driver thread.  A hit is
-    bit-identical to a fresh solve (equal fingerprints imply identical
-    networks), so caching never changes the detected cuts.
+    cache is consulted and populated in the driver, before and after the
+    solves, with or without a pool.  A hit is bit-identical to a fresh solve
+    (equal fingerprints imply identical networks), so caching never changes
+    the detected cuts.
 
-    Without ``parallel`` every subproblem is solved inline.  ``parallel``
-    (a :class:`~repro.parallel.pool.ParallelRuntime`) switches to the
-    handle-based pool path: the sweep collects only centers, and
-    LPT-scheduled center batches are solved against the shared-memory graph
-    on the run's persistent pool (once the pool is retired, the same
-    batches run inline).  The detected cut set is
-    the union of per-region min cuts, which is independent of batching and
-    completion order, so the result is bit-identical to the sequential path
-    for the same ``rng``.
+    Without ``parallel`` every pending subproblem is solved inline, one
+    :func:`resilient_map` item each.  ``parallel`` (a
+    :class:`~repro.parallel.pool.ParallelRuntime`) deals them into
+    LPT-scheduled batches solved on the run's persistent pool (once the pool
+    is retired, the same batches run inline).  The detected cut set is the
+    union of per-region min cuts, which is independent of batching and
+    completion order, so the result is bit-identical to the inline path for
+    the same ``rng``.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     runtime = RuntimeConfig() if runtime is None else runtime
@@ -338,12 +294,6 @@ def detect_natural_cuts(
             stats.deadline_expired = True
             break
         _apply_cache_pressure(cut_cache, runtime, sweep, stats)
-        if parallel is not None:
-            _pooled_sweep(
-                g, U, alpha, f, rng, runtime, budget,
-                cut_cache, parallel, stats, marked,
-            )
-            continue
         with profile_span("natural_cuts.collect"):
             problems = collect_cut_problems(g, U, alpha, f, rng, stats, budget=budget)
         if cut_cache is not None:
@@ -358,10 +308,7 @@ def detect_natural_cuts(
             stats.cache_misses += len(pending)
         else:
             pending = problems
-        solve = functools.partial(_solve_one, fault_plan=runtime.fault_plan)
-        with profile_span("natural_cuts.solve"):
-            results, report = resilient_map(solve, pending, runtime=runtime, budget=budget)
-        stats.absorb(report)
+        results = _solve_pending(pending, runtime, budget, parallel, stats)
         for prob, out in zip(pending, results):
             if out is None:
                 continue  # skipped subproblem: its cuts are simply not marked
@@ -376,77 +323,47 @@ def detect_natural_cuts(
     return cut_ids, stats
 
 
-def _pooled_sweep(
-    g: Graph,
-    U: int,
-    alpha: float,
-    f: float,
-    rng: np.random.Generator,
+def _solve_pending(
+    pending: List[CutProblem],
     runtime: RuntimeConfig,
     budget: RunBudget | None,
-    cut_cache: CutCache | None,
-    parallel: ParallelRuntime,
+    parallel: ParallelRuntime | None,
     stats: NaturalCutStats,
-    marked: np.ndarray,
-) -> None:
-    """One coverage sweep on the shared-memory worker pool.
+) -> List[Optional[tuple]]:
+    """Solve one sweep's uncached subproblems through one :func:`resilient_map`.
 
-    Centers are collected sequentially (as in the paper), dealt into
-    LPT-ordered batches by ring size, and dispatched as handle-based tasks
-    — each task pickles only its center ids.  Results stream back through
-    :func:`resilient_map`, which preserves batch order, and are folded into
-    ``marked``; since marking is a set union, the outcome matches the
-    sequential path bit for bit.  Resilience counters are batch-granular
-    here (a retried/skipped/timed-out *batch* counts once), and the
-    per-subproblem timeout scales by the largest batch size.
+    Returns one ``(cut_value, source_side_mask, fallbacks_used)`` per
+    problem, in ``pending`` order, or ``None`` for a skipped one.  Inline,
+    every problem is its own item, so retries and skips count per
+    subproblem.  On a pool, problems are dealt into LPT batches by network
+    size and travel by value; a retried, skipped or timed-out *batch*
+    counts once, and the per-subproblem timeout scales by the largest batch.
     """
-    from ..parallel.tasks import solve_center_batch
-
-    with profile_span("natural_cuts.collect"):
-        regions = collect_cut_regions(g, U, alpha, f, rng, stats, budget=budget)
-    if not regions:
-        return
-    handle = parallel.share(g)
-    workers = parallel.workers or os.cpu_count() or 1
-    n_batches = max(1, workers * BATCHES_PER_WORKER)
-    batches = lpt_batches([ring for _, ring in regions], n_batches)
-    batch_centers = [[regions[i][0] for i in batch] for batch in batches]
-    task = functools.partial(
-        solve_center_batch,
-        handle=handle,
-        U=U,
-        alpha=alpha,
-        f=f,
-        cache_entries=cut_cache.max_entries if cut_cache is not None else 0,
-        fault_plan=runtime.fault_plan,
-    )
     timeout = runtime.subproblem_timeout
-    if timeout is not None:
-        timeout *= max(len(b) for b in batch_centers)
+    if parallel is None:
+        batches = None
+        fn = functools.partial(_solve_one, fault_plan=runtime.fault_plan)
+        items: list = pending
+    else:
+        workers = parallel.workers or os.cpu_count() or 1
+        batches = lpt_batches([p.net_cap.size for p in pending], workers * BATCHES_PER_WORKER)
+        if timeout is not None and batches:
+            timeout *= max(len(b) for b in batches)
+        fn = functools.partial(solve_cut_batch, fault_plan=runtime.fault_plan)
+        items = [[pending[i] for i in b] for b in batches]
     with profile_span("natural_cuts.solve"):
-        results, report = resilient_map(
-            task,
-            batch_centers,
-            parallel=parallel,
-            runtime=runtime,
-            budget=budget,
-            timeout=timeout,
+        outs, report = resilient_map(
+            fn, items, parallel=parallel, runtime=runtime, budget=budget, timeout=timeout
         )
     stats.absorb(report)
-    for out in results:
+    if batches is None:
+        return outs
+    results: List[Optional[tuple]] = [None] * len(pending)
+    for batch, out in zip(batches, outs):
         if out is None:
             continue  # skipped batch: its cuts are simply not marked
         solved, wstats = out
         parallel.note_batch(wstats)
-        stats.cache_hits += int(wstats.get("cache_hits", 0))
-        stats.cache_misses += int(wstats.get("cache_misses", 0))
-        for entry in solved:
-            if entry is None:
-                continue  # exhausted region / degenerate network
-            _center, value, edge_ids, fallbacks = entry
-            stats.problems_solved += 1
-            stats.total_cut_value += value
-            stats.cut_values.append(float(value))
-            if fallbacks:
-                stats.solver_fallbacks += 1
-            marked[edge_ids] = True
+        for i, res in zip(batch, solved):
+            results[i] = res
+    return results

@@ -105,13 +105,13 @@ def run_filtering(
     always a valid, size-bounded fragment graph — instead of raising.
 
     ``parallel`` (a :class:`~repro.parallel.pool.ParallelRuntime`) routes
-    natural-cut detection through the shared-memory worker pool; the
-    detected cuts — and therefore the fragment graph — are bit-identical
-    to the sequential path.
+    natural-cut detection through the run's worker pool; the detected
+    cuts — and therefore the fragment graph — are bit-identical to the
+    inline path.
 
     ``cut_cache`` injects a caller-owned (possibly long-lived) cache of
-    min-cut solves instead of the per-run cache ``config.use_cut_cache``
-    would create; the incremental update engine uses this to reuse
+    min-cut solves instead of the fresh per-run :class:`CutCache` made
+    here; the incremental update engine uses this to reuse
     untouched-fingerprint entries across successive localized re-filters.
     Cache hits are bit-identical to fresh solves, so injection can change
     only speed, never the fragments.
@@ -126,7 +126,7 @@ def run_filtering(
         budget = runtime.make_budget()
 
     # under --sanitize, in-place writes through any view of the input arrays
-    # raise at the offending statement instead of corrupting shared segments
+    # raise at the offending statement instead of corrupting the graph
     san = get_sanitizer()
     san.freeze_graph(g, "filter.input")
 
@@ -148,8 +148,8 @@ def run_filtering(
     natural_stats = None
     t0 = time.perf_counter()
     if config.detect_natural_cuts:
-        if cut_cache is None and config.use_cut_cache:
-            cut_cache = CutCache(config.cut_cache_entries)
+        if cut_cache is None:
+            cut_cache = CutCache()
         with profile_span("filter.natural_cuts"):
             cut_ids, natural_stats = detect_natural_cuts(
                 chain.current,

@@ -152,51 +152,6 @@ class Graph:
         """
         return self.edge_u, self.edge_v, self.ewgt
 
-    # ------------------------------------------------------------------
-    # Zero-copy export / import (shared-memory runtime)
-    # ------------------------------------------------------------------
-    def shared_arrays(self) -> dict:
-        """All array state as ``{field: ndarray}``, for zero-copy export.
-
-        Includes the memoized :meth:`half_edge_weights` gather so workers
-        never recompute it; ``coords`` is present only when the graph has
-        an embedding.  The inverse is :meth:`from_shared_arrays`.
-        """
-        arrays = {
-            "xadj": self.xadj,
-            "adjncy": self.adjncy,
-            "eid": self.eid,
-            "edge_u": self.edge_u,
-            "edge_v": self.edge_v,
-            "vsize": self.vsize,
-            "ewgt": self.ewgt,
-            "half_ewgt": self.half_edge_weights(),
-        }
-        if self.coords is not None:
-            arrays["coords"] = self.coords
-        return arrays
-
-    @classmethod
-    def from_shared_arrays(cls, arrays: dict) -> "Graph":
-        """Rebuild a graph from :meth:`shared_arrays` output without copies.
-
-        The arrays are used as-is (``ascontiguousarray`` on an already
-        contiguous array of the right dtype is a no-op), so read-only
-        shared-memory views stay zero-copy and keep their write flags.
-        """
-        g = cls(
-            arrays["xadj"],
-            arrays["adjncy"],
-            arrays["eid"],
-            arrays["edge_u"],
-            arrays["edge_v"],
-            arrays["vsize"],
-            arrays["ewgt"],
-            coords=arrays.get("coords"),
-        )
-        g._half_ewgt = arrays["half_ewgt"]
-        return g
-
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate over undirected edges as ``(u, v, w)`` tuples.
 

@@ -1,16 +1,15 @@
 """``repro.lint``: determinism & parallel-safety static analysis.
 
-PUNCH's reproduction contracts — bit-identical partitions across
-serial/threads/processes backends, RNG-draw parity between the pooled and
-legacy sweeps, and read-only zero-copy :class:`~repro.parallel.shared_graph.SharedGraph`
-views — are pinned end-to-end by tests, but an end-to-end diff on a
+PUNCH's reproduction contracts — bit-identical partitions with and
+without the worker pool, the one RNG draw per natural-cut sweep, and
+read-only CSR graph arrays — are pinned end-to-end by tests, but an end-to-end diff on a
 multi-hour instance is the worst possible place to discover a determinism
 bug.  This package catches the known hazard classes *at analysis time*:
 
 - a project-specific AST analyzer (:mod:`.rules`, :mod:`.engine`) with a
   rule registry, per-line ``# repro: noqa(RULE)`` suppressions, and
   text/JSON reporters (:mod:`.report`) behind ``python -m repro.lint``;
-- a runtime sanitizer (:mod:`.sanitizer`) that freezes CSR/shared views,
+- a runtime sanitizer (:mod:`.sanitizer`) that freezes CSR views,
   cross-checks RNG draw parity at phase boundaries, and asserts partition
   invariants, surfacing results in ``run_report()["sanitizer"]``.
 

@@ -357,7 +357,7 @@ def _cutcache_names(fn_node: ast.AST, aliases: Dict[str, str]) -> Set[str]:
             leaf = dotted.rsplit(".", 1)[-1] if dotted else (
                 sub.value.func.id if isinstance(sub.value.func, ast.Name) else ""
             )
-            if leaf in ("CutCache", "worker_cut_cache"):
+            if leaf == "CutCache":
                 for target in sub.targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)

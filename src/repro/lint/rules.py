@@ -475,17 +475,18 @@ class IdOrderingRule(Rule):
 
 
 class SharedViewMutationRule(Rule):
-    """REPRO106: mutation of CSR / shared-graph arrays.
+    """REPRO106: mutation of CSR graph arrays.
 
-    :class:`~repro.graph.graph.Graph` arrays are the zero-copy payload of
-    :class:`~repro.parallel.shared_graph.SharedGraph`: a write through any
-    view corrupts every process attached to the segment.  Graphs are
-    immutable by contract — transformations build new arrays.
+    :class:`~repro.graph.graph.Graph` arrays are shared by reference: the
+    contraction chain, the memoized half-edge weights, cut subproblems and
+    every caller holding the graph read the same buffers, so a write through
+    any view silently changes all of them.  Graphs are immutable by
+    contract — transformations build new arrays.
     """
 
     id = "REPRO106"
     name = "shared-view-mutation"
-    description = "in-place write to a CSR/shared graph array"
+    description = "in-place write to a CSR graph array"
     scope = "all"
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
@@ -517,8 +518,8 @@ class SharedViewMutationRule(Rule):
                     continue  # Graph's own constructors bind these fields
                 yield self.hit(
                     ctx, target,
-                    f"write to CSR/shared array field '{field}'; graphs are "
-                    "immutable and views may be shared-memory backed",
+                    f"write to CSR array field '{field}'; graphs are "
+                    "immutable and their arrays are shared by reference",
                 )
         elif isinstance(node, ast.Call):
             fn = node.func
@@ -532,7 +533,7 @@ class SharedViewMutationRule(Rule):
                         yield self.hit(
                             ctx, node,
                             "setflags(write=True) re-enables writes on an array "
-                            "view; shared/CSR views must stay read-only",
+                            "view; CSR views must stay read-only",
                         )
 
     @staticmethod
@@ -634,31 +635,21 @@ class SilentExceptRule(Rule):
                 )
 
 
-#: the one module allowed to construct SharedMemory directly: it holds the
-#: owner/attach lifecycle and the orphan reaper
-_SHM_ALLOWED_SUFFIXES = ("parallel/shared_graph.py",)
-
-
 class BareSharedMemoryRule(Rule):
-    """REPRO109: ``SharedMemory(...)`` constructed outside the managed paths.
+    """REPRO109: ``SharedMemory(...)`` constructed anywhere.
 
-    Every shared-memory segment must be owned by a
-    :class:`~repro.parallel.shared_graph.SharedGraph` (finalizer + ownership
-    registry) or handled by the orphan reaper next to it.  A bare
-    ``SharedMemory(...)`` anywhere else escapes both safety nets: nothing
-    unlinks it on a crash and the reaper cannot identify its owner, so it
-    leaks ``/dev/shm`` until reboot.
+    Pool tasks carry their inputs by value, so the package owns no
+    shared-memory segment and has no finalizer or reaper to clean one up.
+    A ``SharedMemory(...)`` segment that is not unlinked — a crash between
+    create and unlink is enough — leaks ``/dev/shm`` until reboot.
     """
 
     id = "REPRO109"
     name = "bare-shared-memory"
-    description = "SharedMemory constructed outside parallel/shared_graph"
+    description = "SharedMemory constructed (tasks carry values, not segments)"
     scope = "all"
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
-        path = ctx.path.replace("\\", "/")
-        if path.endswith(_SHM_ALLOWED_SUFFIXES):
-            return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -666,9 +657,8 @@ class BareSharedMemoryRule(Rule):
             if dotted == "multiprocessing.shared_memory.SharedMemory":
                 yield self.hit(
                     ctx, node,
-                    "bare SharedMemory(...) escapes the ownership registry and "
-                    "crash finalizers; go through SharedGraph (owner/attach) or "
-                    "the orphan reaper in parallel/shared_graph",
+                    "bare SharedMemory(...) leaks /dev/shm when a crash skips "
+                    "its unlink; pass task inputs by value instead",
                 )
 
 

@@ -1,4 +1,4 @@
-"""Runtime sanitizer: freeze shared views, verify RNG parity & invariants.
+"""Runtime sanitizer: freeze CSR views, verify RNG parity & invariants.
 
 The static rules in :mod:`.rules` catch hazard *patterns*; this module
 catches hazard *instances* while a run executes.  Mirroring
@@ -11,12 +11,13 @@ Three check families:
 - **view freezing** — :meth:`Sanitizer.freeze_graph` sets
   ``writeable=False`` on every CSR array of a :class:`~repro.graph.graph.Graph`,
   so an in-place write anywhere downstream raises immediately at the
-  offending line instead of corrupting a shared segment silently;
+  offending line instead of silently changing every holder of the graph;
 - **RNG draw parity** — phases declare their draw signature
   (``rng_begin``/``rng_end``); the sanitizer replays the declared draws on a
   clone of the pre-phase bit-generator state and verifies the live generator
-  landed in the same state.  This proves the pooled and legacy sweeps
-  consume *exactly* the declared draws — the serial≡parallel contract;
+  landed in the same state.  This proves each natural-cut sweep consumes
+  *exactly* the declared draws, with or without a pool — the
+  serial≡parallel contract;
 - **partition invariants** — :meth:`Sanitizer.check_partition` re-derives
   cut cost from boundary-edge accounting, checks cell sizes against ``U``
   and cell connectivity, and compares against the cost the phase reported.

@@ -7,28 +7,25 @@ same cores).  This module provides the equivalent with worker processes —
 under CPython's GIL only processes give that speedup, so there is no thread
 pool — and is the only place in the package that constructs an executor:
 
-- a **graph registry** shared by the driver and its workers: graphs are
-  addressed by handle token, resolved to the original object in-process
-  (inline runs and a retired pool's fallback) or lazily attached from
-  shared memory in pool workers — so a task pickles a token, never an array;
 - :func:`lpt_batches` — size-aware batch scheduling: subproblems are dealt
   largest-first onto the least-loaded batch (classic LPT), which
   approximates work stealing with plain executor futures;
 - :class:`ParallelRuntime` — the per-run object drivers thread through the
-  phases: it creates the ``ProcessPoolExecutor`` once per run, owns every
-  :class:`~.shared_graph.SharedGraph` export, merges worker-side cache
-  counters and profiler spans and counters back into the parent, and —
-  when the run's
-  :class:`~repro.core.config.RuntimeConfig` sets ``supervise`` — watchdogs
-  its worker processes and respawns a collapsed pool within the restart
-  budget;
+  phases: it creates the ``ProcessPoolExecutor`` once per run, merges
+  worker-side profiler spans and counters back into the parent, and — when
+  the run's :class:`~repro.core.config.RuntimeConfig` sets ``supervise`` —
+  watchdogs its worker processes and respawns a collapsed pool within the
+  restart budget;
 - :func:`resilient_map` — the one dispatcher: every subproblem map runs on
   the runtime's pool or inline, with the retry, timeout and degradation
   policy of ``docs/RESILIENCE.md``.
 
-Nothing here makes an algorithmic decision — the runtime only decides
-*where* work runs and *when* to give up on a pool — so the bit-identical
-determinism contract (no runtime ≡ processes) holds by construction.
+Tasks carry their inputs by value (a pickled fragment graph or a batch of
+cut subproblems), so a worker needs no state from the driver and a task
+replayed inline gets exactly what the pool would have.  Nothing here makes
+an algorithmic decision — the runtime only decides *where* work runs and
+*when* to give up on a pool — so the bit-identical determinism contract (no
+runtime ≡ processes) holds by construction.
 """
 
 from __future__ import annotations
@@ -37,42 +34,27 @@ import contextlib
 import heapq
 import os
 import pickle
-import secrets
 import threading
 import time
 from collections import deque
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from ..core.config import ParallelConfig, RuntimeConfig
-from ..graph.graph import Graph
-from ..perf.cut_cache import CutCache
 from ..perf.timers import get_profiler
 from ..runtime.budget import RunBudget
 from ..runtime.faults import FaultPlan
-from .shared_graph import (
-    AttachedGraph,
-    SharedGraph,
-    SharedGraphHandle,
-    attach_shared_graph,
-    reap_orphan_segments,
-)
 
 __all__ = [
     "ParallelRuntime",
     "ExecutionReport",
     "resilient_map",
-    "serial_supervision",
     "DEGRADATION_ORDER",
     "lpt_batches",
-    "register_graph",
-    "unregister_graph",
-    "resolve_graph",
-    "worker_cut_cache",
     "in_worker",
 ]
 
@@ -109,63 +91,7 @@ _COUNTERS = (
     "deadline_skipped", "executor_degradations",
 )
 
-# ---------------------------------------------------------------------------
-# Graph registry (driver process AND pool workers — each process has its own)
-# ---------------------------------------------------------------------------
-
-_GRAPHS: Dict[str, Graph] = {}
-_ATTACHMENTS: Dict[str, AttachedGraph] = {}
-_WORKER_CACHE: Optional[CutCache] = None
 _IN_WORKER = False
-
-
-def register_graph(token: str, g: Graph) -> None:
-    """Publish a graph under a handle token (driver side)."""
-    _GRAPHS[token] = g
-
-
-def unregister_graph(token: str) -> None:
-    """Remove a token; closes the worker attachment if one exists."""
-    _GRAPHS.pop(token, None)
-    att = _ATTACHMENTS.pop(token, None)
-    if att is not None:
-        with contextlib.suppress(Exception):
-            att.close()
-
-
-def resolve_graph(handle: SharedGraphHandle | Graph) -> Graph:
-    """The graph behind a handle, wherever this code runs.
-
-    In the driver (inline runs and a retired pool's fallback) the token
-    hits the registry entry made at export time — the original object, zero
-    cost.  In a pool worker the first resolution attaches the shared-memory
-    view and caches it, so attachment happens once per worker per graph.  A
-    run without a runtime passes the graph itself, which resolves to itself.
-    """
-    if isinstance(handle, Graph):
-        return handle
-    g = _GRAPHS.get(handle.token)
-    if g is not None:
-        return g
-    if not handle.is_shared:
-        raise KeyError(
-            f"graph {handle.token!r} is not registered in this process and has "
-            "no shared-memory blocks to attach"
-        )
-    att = attach_shared_graph(handle)
-    _ATTACHMENTS[handle.token] = att
-    _GRAPHS[handle.token] = att.graph
-    return att.graph
-
-
-def worker_cut_cache(max_entries: int) -> Optional[CutCache]:
-    """This process's cut cache (one per worker; ``None`` when disabled)."""
-    global _WORKER_CACHE  # repro: noqa(REPRO107) — per-process cache registry
-    if max_entries < 1:
-        return None
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = CutCache(max_entries)
-    return _WORKER_CACHE
 
 
 def in_worker() -> bool:
@@ -173,20 +99,10 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def _worker_init(handles: tuple, profile_enabled: bool) -> None:
-    """Pool-worker initializer: fresh registry + eager attachments.
-
-    The inherited (fork) registry refers to parent objects; clearing it
-    makes workers always go through shared memory, so behavior is identical
-    under fork and spawn start methods.
-    """
-    global _IN_WORKER, _WORKER_CACHE  # repro: noqa(REPRO107) — initializer resets per-process registries
+def _worker_init(profile_enabled: bool) -> None:
+    """Pool-worker initializer: mark the process and mirror the profiler."""
+    global _IN_WORKER  # repro: noqa(REPRO107) — initializer marks the worker process
     _IN_WORKER = True
-    _GRAPHS.clear()
-    _ATTACHMENTS.clear()
-    _WORKER_CACHE = None
-    for handle in handles:
-        resolve_graph(handle)
     if profile_enabled:
         get_profiler().enabled = True
 
@@ -228,7 +144,7 @@ def lpt_batches(costs: Sequence[float], n_batches: int) -> List[List[int]]:
 
 
 class ParallelRuntime:
-    """One run's executor: pool + shared graphs + watchdog + telemetry.
+    """One run's executor: pool + watchdog + telemetry.
 
     Created once by a driver (:func:`repro.core.punch.run_punch`,
     :func:`repro.balanced.driver.run_balanced_punch`) from the run's
@@ -242,8 +158,7 @@ class ParallelRuntime:
     :meth:`close`.  :meth:`mark_broken` retires it (and stops its
     workers); with ``runtime.supervise`` the next map respawns a fresh
     pool while ``runtime.max_pool_restarts`` allows, otherwise the rest of
-    the run executes inline.  The same flag arms the watchdog: orphaned
-    segments of dead runs are reaped at construction, and the pool gets
+    the run executes inline.  The same flag arms the watchdog: the pool gets
     liveness scans plus heartbeat sentinels (timeout
     ``runtime.heartbeat_timeout``) before and while a map waits.  Work is
     always replayed from derived seeds, never from partial state, so none
@@ -259,31 +174,17 @@ class ParallelRuntime:
         # one winner retires the pool when several failure sites race in
         self._broken = False
         self._broken_lock = threading.Lock()
-        self._shared: Dict[int, SharedGraph] = {}  # id(graph) -> export
-        self._handles: Dict[int, SharedGraphHandle] = {}  # id(graph) -> handle
-        self._tokens: List[str] = []
         self._closed = False
-        # guards share()/release_shared(): a pool break can race a share
-        self._share_lock = threading.Lock()
         self._last_beat: Optional[float] = None
         self._hb_token = 0
         # telemetry: run_report()["parallel"]
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.batches_dispatched = 0
         self.pool_breaks = 0
         self.pool_restarts = 0
-        self.shared_bytes = 0
         # telemetry: run_report()["supervisor"]
         self.dead_workers_detected = 0
         self.hung_pools_detected = 0
         self.heartbeats_ok = 0
-        self.orphans_reaped = 0
-        self.stale_records_removed = 0
-        if self._policy.supervise:
-            reaped = reap_orphan_segments()
-            self.orphans_reaped = len(reaped["reaped_segments"])
-            self.stale_records_removed = int(reaped["stale_records"])
 
     # -- properties ------------------------------------------------------
     @property
@@ -296,65 +197,13 @@ class ParallelRuntime:
             self._policy.supervise and self.pool_restarts < self._policy.max_pool_restarts
         )
 
-    # -- graph sharing ---------------------------------------------------
-    def share(self, g: Graph) -> SharedGraphHandle:
-        """Export ``g`` once into shared memory and register it; memoized.
-
-        The original graph is always registered in the driver's registry so
-        inline work — including the fallback after a pool break — resolves
-        the handle with zero overhead.  Once the pool is retired for good
-        (broken, no restart left), no worker will read an export again, so
-        only a local handle is made.
-        """
-        if self._closed:
-            raise RuntimeError("ParallelRuntime is closed")
-        key = id(g)
-        with self._share_lock:
-            handle = self._handles.get(key)
-            if handle is not None:
-                return handle
-            if not self._retired():
-                sg = SharedGraph(g)
-                handle = sg.handle
-                self._shared[key] = sg
-                self.shared_bytes += sg.nbytes()
-            else:
-                handle = SharedGraphHandle(token=f"local-{secrets.token_hex(6)}", n=g.n, m=g.m)
-            register_graph(handle.token, g)
-            self._handles[key] = handle
-            self._tokens.append(handle.token)
-            return handle
-
-    def release_shared(self) -> None:
-        """Unlink every shared-memory export (driver registry stays intact).
-
-        Called when the process pool breaks: the segments have no readers
-        left, and the inline fallback resolves handles through the
-        registry, so holding the memory would be a pure leak.  Future
-        :meth:`share` calls re-export while a restart is left.  Safe from
-        concurrent failure sites: the export map is detached under the
-        lock, so each :class:`SharedGraph` is closed exactly once.
-        """
-        with self._share_lock:
-            shared, self._shared = self._shared, {}
-            # drop handle memoization for shm-backed graphs so share()
-            # re-exports
-            for key in list(self._handles):
-                if key in shared:
-                    del self._handles[key]
-        for sg in shared.values():
-            if not sg.closed:
-                sg.close()
-
     # -- pool ------------------------------------------------------------
     def executor(self) -> Optional[ProcessPoolExecutor]:
         """The run's pool, created lazily; ``None`` when work must run inline.
 
         ``None`` after :meth:`close`, and once the pool is retired with no
         restart left.  A retired pool is replaced here — one grant of the
-        restart budget — by a fresh one that attaches the current exports
-        (a prior :meth:`share` re-exported them, since the break released
-        the old ones).
+        restart budget — by a fresh one.
         """
         if self._closed or self._retired():
             return None
@@ -363,16 +212,15 @@ class ParallelRuntime:
             self._executor = None
             self._broken = False
         if self._executor is None:
-            handles = tuple(sg.handle for sg in self._shared.values())
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers or os.cpu_count() or 1,
                 initializer=_worker_init,
-                initargs=(handles, get_profiler().enabled),
+                initargs=(get_profiler().enabled,),
             )
         return self._executor
 
     def mark_broken(self) -> None:
-        """Retire the pool: stop it, release the exports, count the break.
+        """Retire the pool: stop its workers and count the break.
 
         Idempotent and thread-safe: the flag flips under a lock, so when
         several failure sites race in exactly one runs the shutdown.  The
@@ -391,7 +239,6 @@ class ParallelRuntime:
             with contextlib.suppress(Exception):
                 executor.shutdown(wait=False, cancel_futures=True)
             _terminate(procs)
-        self.release_shared()
 
     # -- watchdog (supervised runs only) -----------------------------------
     def _healthy(self, executor: ProcessPoolExecutor) -> bool:
@@ -470,12 +317,10 @@ class ParallelRuntime:
 
     # -- telemetry merging ----------------------------------------------
     def note_batch(self, stats: Optional[dict]) -> None:
-        """Fold one worker batch's counters/spans into the parent."""
+        """Fold one worker batch's profiler spans and counters into the parent."""
         self.batches_dispatched += 1
         if not stats:
             return
-        self.cache_hits += int(stats.get("cache_hits", 0))
-        self.cache_misses += int(stats.get("cache_misses", 0))
         get_profiler().merge(stats.get("spans", {}), stats.get("counters", {}))
 
     def report(self) -> dict:
@@ -483,11 +328,6 @@ class ParallelRuntime:
         out: dict = {"workers": self.workers or os.cpu_count() or 1}
         if self.batches_dispatched:
             out["batches"] = self.batches_dispatched
-        if self.cache_hits or self.cache_misses:
-            out["worker_cache_hits"] = self.cache_hits
-            out["worker_cache_misses"] = self.cache_misses
-        if self.shared_bytes:
-            out["shared_bytes"] = self.shared_bytes
         if self.pool_breaks:
             out["pool_breaks"] = self.pool_breaks
         if self.pool_restarts:
@@ -499,8 +339,6 @@ class ParallelRuntime:
         if not self._policy.supervise:
             return {}
         counters = {
-            "orphans_reaped": self.orphans_reaped,
-            "stale_records_removed": self.stale_records_removed,
             "dead_workers_detected": self.dead_workers_detected,
             "hung_pools_detected": self.hung_pools_detected,
             "heartbeats_ok": self.heartbeats_ok,
@@ -510,26 +348,13 @@ class ParallelRuntime:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down and unlink all segments (idempotent)."""
+        """Shut the pool down (idempotent)."""
         if self._closed:
             return
         self._closed = True
         if self._executor is not None and not self._broken:
             self._executor.shutdown(wait=True)
         self._executor = None
-        self.release_shared()
-        for token in self._tokens:
-            unregister_graph(token)
-        self._tokens.clear()
-        self._handles.clear()
-
-    def active_segment_names(self) -> List[str]:
-        """Names of currently-live shared segments (tests / diagnostics)."""
-        names: List[str] = []
-        for sg in self._shared.values():
-            if not sg.closed:
-                names.extend(sg.segment_names())
-        return names
 
     def __enter__(self) -> "ParallelRuntime":
         return self
@@ -555,18 +380,6 @@ def _terminate(procs: list) -> None:
             if p.is_alive():
                 p.kill()
                 p.join(TERMINATE_GRACE)
-
-
-def serial_supervision(runtime: RuntimeConfig) -> dict:
-    """``run_report()["supervisor"]`` of a run without a :class:`ParallelRuntime`.
-
-    With no pool to watch, reaping dead runs' shared-memory segments at
-    start is all supervision does; an unsupervised run reports nothing.
-    """
-    if not runtime.supervise:
-        return {}
-    # building a runtime reaps; its pool is made lazily, so none starts here
-    return ParallelRuntime(runtime=runtime).supervisor_report()
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +497,8 @@ def resilient_map(
 
     Work runs on ``parallel``'s pool, or inline when there is none (no
     runtime, or a pool retired with no restart left).
-    When the pool breaks mid-map it is retired — its exports released, its
-    workers stopped — and the unfinished items run inline, resolving graphs
-    through the in-process registry.
+    When the pool breaks mid-map it is retired — its workers stopped — and
+    the unfinished items run inline on the same task inputs.
 
     ``runtime`` is the run's retry policy (``max_retries``,
     ``backoff_base``, ``fault_plan``; ``None`` = the defaults).

@@ -67,8 +67,9 @@ class CutCache:
         self._store[key] = (value, side)
 
     def counters(self) -> Tuple[int, int]:
-        """Current ``(hits, misses)``; pool tasks diff two calls of this to
-        report per-batch deltas from a long-lived per-worker cache."""
+        """Current ``(hits, misses)``; the incremental updater diffs two
+        calls of this to report each update's share of its long-lived
+        cache."""
         return self.hits, self.misses
 
     def shrink(self, max_entries: int) -> int:

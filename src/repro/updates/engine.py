@@ -129,11 +129,7 @@ class IncrementalUpdater:
         self.U = int(U)
         self.config = config if config is not None else UpdateConfig()
         self.punch_config = punch_config if punch_config is not None else PunchConfig()
-        self.cut_cache: Optional[CutCache] = (
-            CutCache(self.punch_config.filter.cut_cache_entries)
-            if self.punch_config.filter.use_cut_cache
-            else None
-        )
+        self.cut_cache = CutCache()
         self.journal = DirtyRegionJournal()
         # PunchResult of the most recent repair/rebuild run (None for
         # weight-only updates): checkpoint-recovery and supervision
@@ -147,11 +143,6 @@ class IncrementalUpdater:
         """Per-update deterministic seed derivation (repair RNG isolation)."""
         base = self.punch_config.seed if self.punch_config.seed is not None else 0
         return self.punch_config.with_seed(int(base) + 1_000_003 * (self._seq + 1))
-
-    def _cache_counters(self) -> "tuple[int, int]":
-        if self.cut_cache is None:
-            return (0, 0)
-        return self.cut_cache.counters()
 
     def _full_rebuild(self, g2: Graph) -> Partition:
         res = run_punch(g2, self.U, self._derived_config(), cut_cache=self.cut_cache)
@@ -197,7 +188,7 @@ class IncrementalUpdater:
         """
         t0 = perf_counter()
         mut = apply_delta_batch(self.graph, batch)
-        h0, m0 = self._cache_counters()
+        h0, m0 = self.cut_cache.counters()
         seq = self._seq
 
         if not mut.structural:
@@ -205,7 +196,7 @@ class IncrementalUpdater:
         else:
             result = self._apply_structural(mut, seq, len(batch))
 
-        h1, m1 = self._cache_counters()
+        h1, m1 = self.cut_cache.counters()
         result.record.cache_hits = h1 - h0
         result.record.cache_misses = m1 - m0
         result.record.latency_s = perf_counter() - t0

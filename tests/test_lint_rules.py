@@ -244,13 +244,14 @@ class TestBareSharedMemory:
         )
         assert rule_ids(res) == ["REPRO109"]
 
-    def test_allowed_in_shared_graph(self):
-        res = check(self.SRC, path="src/repro/parallel/shared_graph.py")
-        assert res.violations == []
+    def test_flagged_in_parallel_package(self):
+        # tasks carry values: no module, the parallel package included, may
+        # own a segment
+        for path in ("src/repro/parallel/shared_graph.py", "src/repro/parallel/pool.py"):
+            res = check(self.SRC, path=path)
+            assert rule_ids(res) == ["REPRO109"], path
 
     def test_flagged_in_runtime_package(self):
-        # the orphan reaper lives in shared_graph.py now; the runtime package
-        # gets no exemption
         res = check(self.SRC, path="src/repro/runtime/supervisor.py")
         assert rule_ids(res) == ["REPRO109"]
 

@@ -2,23 +2,23 @@
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
+import multiprocessing as mp
+import time
 
 import numpy as np
 import pytest
 
+import repro.parallel
 from repro.core.config import ParallelConfig, PunchConfig, RuntimeConfig
-from repro.parallel import ParallelRuntime, lpt_batches, resilient_map, resolve_graph
-from repro.parallel.shared_graph import registered_tokens
+from repro.parallel import ParallelRuntime, lpt_batches, resilient_map
 from repro.runtime.faults import FaultPlan
 
-from .conftest import make_graph, random_connected_graph
+from .conftest import random_connected_graph
 
 
 def _probe_item(arg):
-    """Module-level task (stays picklable): resolve the graph, do some work."""
-    x, handle = arg
-    g = resolve_graph(handle)
+    """Module-level task (stays picklable): the graph travels by value."""
+    x, g = arg
     return int(g.n) + x
 
 
@@ -34,13 +34,14 @@ def _double(x):
     return x * 2
 
 
-def _segment_exists(name: str) -> bool:
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    shm.close()
-    return True
+def _wait_for_no_new_children(before: set, seconds: float = 5.0) -> list:
+    """PIDs of child processes not in ``before`` still alive after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while True:
+        extra = [p.pid for p in mp.active_children() if p.pid not in before]
+        if not extra or time.monotonic() >= deadline:
+            return extra
+        time.sleep(0.05)
 
 
 class TestLptBatches:
@@ -96,16 +97,12 @@ class TestWorkerPool:
             assert rt.report()["workers"] >= 1
 
     def test_mark_broken_fires_callback_once(self):
-        """Retiring the pool counts one break and releases the exports
-        once, however often it is called."""
-        g = random_connected_graph(30, 20, seed=5)
+        """Retiring the pool counts one break, however often it is called."""
         with ParallelRuntime(ParallelConfig(workers=1)) as rt:
-            rt.share(g)
             assert rt.executor() is not None
             rt.mark_broken()
             rt.mark_broken()
             assert rt.pool_breaks == 1
-            assert rt.active_segment_names() == []
             assert rt.executor() is None
 
     def test_mark_broken_concurrent_callers_elect_one_winner(self):
@@ -137,48 +134,34 @@ class TestWorkerPool:
 class TestParallelRuntime:
     def test_serial_backend_is_rejected(self):
         """A run without a pool is ``parallel=None``; there is no serial
-        backend, and a graph passed as its own handle resolves to itself."""
+        backend."""
         with pytest.raises(TypeError, match="backend"):
             ParallelConfig(backend="serial")
-        g = make_graph(3, [(0, 1), (1, 2)])
-        assert resolve_graph(g) is g
 
-    def test_share_is_memoized(self):
-        g = random_connected_graph(30, 20, seed=1)
-        with ParallelRuntime(ParallelConfig(workers=1)) as rt:
-            h1 = rt.share(g)
-            h2 = rt.share(g)
-            assert h1 is h2
-            assert h1.is_shared
-            # the driver resolves its own handle to the original object
-            assert resolve_graph(h1) is g
+    def test_no_shared_memory_surface(self):
+        """Tasks carry values: the package exports no shared-memory graph
+        or graph registry, and the runtime has nothing to share."""
+        for name in ("SharedGraph", "SharedGraphHandle", "resolve_graph", "register_graph"):
+            assert not hasattr(repro.parallel, name), name
+        assert not hasattr(ParallelRuntime, "share")
 
-    def test_close_unlinks_and_unregisters(self):
-        g = random_connected_graph(30, 20, seed=2)
+    def test_close_is_idempotent(self):
+        before = {p.pid for p in mp.active_children()}
         rt = ParallelRuntime(ParallelConfig(workers=1))
-        handle = rt.share(g)
-        names = rt.active_segment_names()
-        assert names and all(_segment_exists(n) for n in names)
+        assert rt.executor() is not None
         rt.close()
-        assert not any(_segment_exists(n) for n in names)
-        # the registry entry is gone and the segments are unlinked, so the
-        # handle is dead in every process
-        with pytest.raises(FileNotFoundError):
-            resolve_graph(handle)
-        rt.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            rt.share(g)
+        rt.close()
+        # a closed runtime hands out no pool, and its workers are gone
+        assert rt.executor() is None
+        assert _wait_for_no_new_children(before) == []
 
     def test_report_counters(self):
         with ParallelRuntime(ParallelConfig(workers=2)) as rt:
-            rt.note_batch({"cache_hits": 3, "cache_misses": 5})
+            rt.note_batch({})
             rt.note_batch(None)
             report = rt.report()
         assert "backend" not in report
-        assert report["workers"] == 2
-        assert report["batches"] == 2
-        assert report["worker_cache_hits"] == 3
-        assert report["worker_cache_misses"] == 5
+        assert report == {"workers": 2, "batches": 2}
 
     def test_worker_profiler_counters_reach_parent(self):
         """Counters bumped inside process-pool workers are shipped with each
@@ -208,27 +191,20 @@ class TestParallelRuntime:
         with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             assert rt.executor() is rt.executor()
 
-    def test_share_after_retirement_stays_local(self, monkeypatch, tmp_path):
-        """Once the process pool is retired with no restart left, no worker
-        will read an export again: share() makes a local handle only, and
-        later sweeps run inline on it."""
+    def test_sweep_after_retirement_runs_inline(self):
+        """Once the process pool is retired with no restart left, later
+        sweeps run their batches inline and find the same cuts."""
         from repro.filtering.natural_cuts import detect_natural_cuts
 
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
         g = random_connected_graph(120, 60, seed=4)
         serial_ids, _ = detect_natural_cuts(g, 30, rng=np.random.default_rng(3))
         with ParallelRuntime(ParallelConfig(workers=2)) as rt:
             rt.mark_broken()
             assert rt.executor() is None
-            before = rt.shared_bytes
-            handle = rt.share(g)
-            assert not handle.is_shared
-            assert rt.active_segment_names() == []
-            assert registered_tokens() == []
-            assert rt.shared_bytes == before
             ids, stats = detect_natural_cuts(
                 g, 30, rng=np.random.default_rng(3), parallel=rt
             )
+            assert rt.report()["batches"] >= 1
         assert np.array_equal(ids, serial_ids)
         assert stats.final_executor == "serial"
 
@@ -252,23 +228,20 @@ class TestResilientMapPooling:
 
 class TestDegradation:
     def test_worker_crash_degrades_and_releases_segments(self):
-        """A dying pool worker must not leak /dev/shm segments.
+        """A dying pool worker retires the pool and the map finishes inline.
 
         crash_rate=1 on the "process" site hard-kills workers on first
-        attempt; resilient_map marks the pool broken and finishes inline,
-        and the runtime unlinks every export while the registry keeps
-        resolving handles for the inline fallback.
+        attempt; resilient_map marks the pool broken and reruns the
+        unfinished items inline on the same by-value inputs, and the
+        retired pool releases its worker processes.
         """
         g = random_connected_graph(40, 30, seed=3)
         plan = FaultPlan(seed=1, crash_rate=1.0, sites=("process",))
+        before = {p.pid for p in mp.active_children()}
         with ParallelRuntime(ParallelConfig(workers=2)) as rt:
-            handle = rt.share(g)
-            names = rt.active_segment_names()
-            assert names
-
             results, report = resilient_map(
                 _probe_item,
-                [(x, handle) for x in range(6)],
+                [(x, g) for x in range(6)],
                 parallel=rt,
                 runtime=RuntimeConfig(fault_plan=plan),
             )
@@ -276,13 +249,9 @@ class TestDegradation:
             assert results == [40 + x for x in range(6)]
             assert report.final_executor == "serial"
             assert report.executor_degradations == 1
-            # the broken pool released every shared segment...
             assert rt.pool_breaks == 1
-            assert rt.active_segment_names() == []
-            for name in names:
-                assert not _segment_exists(name)
-            # ...including its reapable ownership record
-            assert handle.token not in registered_tokens()
+            # the retired pool's workers are stopped...
+            assert _wait_for_no_new_children(before) == []
             # ...and the runtime never hands the retired pool out again
             assert rt.executor() is None
 
@@ -333,14 +302,12 @@ class TestDegradation:
         assert res.parallel_report["pool_breaks"] == 1
         assert np.array_equal(res.partition.labels, serial.partition.labels)
 
-    def test_run_punch_survives_crashing_workers_without_leaks(
-        self, monkeypatch, tmp_path
-    ):
-        """End-to-end: crash faults during a parallel run leave no segments
-        and no ownership records."""
+    def test_run_punch_survives_crashing_workers_without_leaks(self):
+        """End-to-end: crash faults during a parallel run leave no worker
+        processes behind."""
         from repro.core.punch import run_punch
 
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
+        before = {p.pid for p in mp.active_children()}
         g = random_connected_graph(120, 60, seed=4)
         cfg = PunchConfig(
             seed=9,
@@ -352,11 +319,39 @@ class TestDegradation:
         rt = ParallelRuntime(cfg.parallel)
         try:
             res = run_punch(g, 30, cfg, parallel=rt)
-            names_during = rt.active_segment_names()
         finally:
             rt.close()
         assert res.partition.num_cells >= 1
         assert rt.pool_breaks >= 1
-        assert not any(_segment_exists(n) for n in names_during)
-        assert rt.active_segment_names() == []
-        assert registered_tokens() == []
+        assert _wait_for_no_new_children(before) == []
+
+
+class TestDriverCutCache:
+    """The driver's one cut cache answers hits before any dispatch, so a
+    pooled run counts exactly what an inline run counts."""
+
+    def test_pooled_run_reports_inline_cache_counters(self):
+        from repro.core.punch import run_punch
+
+        g = random_connected_graph(200, 100, seed=6)
+        reports = {}
+        for parallel in (None, ParallelConfig(workers=2)):
+            res = run_punch(g, 30, PunchConfig(seed=0, parallel=parallel))
+            reports[parallel is not None] = res.run_report()["cut_cache"]
+        assert reports[False]["hits"] > 0
+        assert reports[True] == reports[False]
+
+    def test_updater_on_pool_hits_its_persistent_cache(self):
+        from repro.core.punch import run_punch
+        from repro.updates import IncrementalUpdater, synthetic_delta_batch
+
+        g = random_connected_graph(130, 70, seed=5)
+        part = run_punch(g, 30, PunchConfig(seed=7)).partition
+        counters = {}
+        for parallel in (None, ParallelConfig(workers=2)):
+            upd = IncrementalUpdater(part, 30, punch_config=PunchConfig(seed=7, parallel=parallel))
+            for seed in range(3):
+                upd.apply(synthetic_delta_batch(upd.graph, kind="mixed", count=6, seed=seed))
+            counters[parallel is not None] = upd.cut_cache.counters()
+        assert counters[False][0] > 0
+        assert counters[True] == counters[False]

@@ -14,7 +14,7 @@ from repro.assembly.cells import PartitionState
 from repro.assembly.greedy import adjacency_of_graph, greedy_labels_for_graph
 from repro.assembly.instance import build_aux_instance, build_aux_instance_reference
 from repro.assembly.local_search import _RandomPairSet, local_search
-from repro.core.config import FilterConfig, PunchConfig
+from repro.core.config import PunchConfig
 from repro.core.punch import run_punch
 from repro.filtering.cut_problem import (
     build_cut_problem,
@@ -288,20 +288,6 @@ class TestCutCache:
         assert np.array_equal(ids_a, ids_b)
         assert stats_b.cache_hits == cache.hits
         assert stats_b.cache_hits + stats_b.cache_misses > 0
-
-    def test_cache_never_changes_partition(self, road):
-        """End-to-end: identical partitions with the cache on and off."""
-        on = run_punch(
-            road, 64, PunchConfig(filter=FilterConfig(use_cut_cache=True), seed=0)
-        )
-        off = run_punch(
-            road, 64, PunchConfig(filter=FilterConfig(use_cut_cache=False), seed=0)
-        )
-        assert on.cost == off.cost
-        assert np.array_equal(on.partition.labels, off.partition.labels)
-        report = on.run_report()
-        assert report["cut_cache"]["misses"] > 0
-        assert "cut_cache" not in off.run_report()
 
 
 class TestPhaseProfiler:

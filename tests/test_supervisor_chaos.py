@@ -1,9 +1,8 @@
 """Chaos suite: supervised runs under deterministic hard faults.
 
 Every scenario follows the same acceptance shape: inject a hard fault
-(SIGKILLed worker, corrupted checkpoint, orphaned shared-memory segment,
-cache pressure) on a seeded :class:`~repro.runtime.chaos.ChaosPlan`
-schedule, let the run complete, and assert the partition is bit-identical
+(SIGKILLed worker, corrupted checkpoint, cache pressure) on a seeded
+:class:`~repro.runtime.chaos.ChaosPlan` schedule, let the run complete, and assert the partition is bit-identical
 to the fault-free serial baseline.  Supervision (the watchdog and restart
 budget of :class:`~repro.parallel.pool.ParallelRuntime`) may only change
 *where* work runs and *which* checkpoint generation is trusted — never the
@@ -16,7 +15,6 @@ import multiprocessing as mp
 import os
 import signal
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -31,21 +29,10 @@ from repro.core.punch import run_punch
 from repro.assembly.multistart import multistart
 from repro.parallel import pool as pool_mod
 from repro.parallel.pool import ParallelRuntime, in_worker, resilient_map
-from repro.parallel.shared_graph import (
-    _untracked_attach,
-    reap_orphan_segments,
-    register_segments,
-    registered_tokens,
-    unregister_segments,
-)
 from repro.runtime import CheckpointError, load_checkpoint
 from repro.runtime.chaos import ChaosPlan
 
 from .conftest import random_connected_graph
-
-
-def _noop():
-    pass
 
 
 def _sleep_task(seconds):
@@ -66,92 +53,6 @@ def _supervised(workers=1, **runtime):
         ParallelConfig(workers=workers),
         RuntimeConfig(supervise=True, **runtime),
     )
-
-
-def _dead_pid() -> int:
-    """PID of a process that provably no longer exists."""
-    proc = mp.Process(target=_noop)
-    proc.start()
-    pid = proc.pid
-    proc.join()
-    return pid
-
-
-def _segment_exists(name: str) -> bool:
-    try:
-        with _untracked_attach():
-            shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    shm.close()
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory ownership registry + orphan reaper
-# ---------------------------------------------------------------------------
-
-
-class TestShmRegistry:
-    @pytest.fixture(autouse=True)
-    def _isolated_registry(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
-
-    def test_register_unregister_roundtrip(self):
-        register_segments("tok-a", ["seg1", "seg2"])
-        assert "tok-a" in registered_tokens()
-        unregister_segments("tok-a")
-        unregister_segments("tok-a")  # idempotent
-        assert registered_tokens() == []
-
-    def test_reap_leaves_live_owner_alone(self):
-        register_segments("tok-live", ["no-such-segment"])
-        report = reap_orphan_segments()
-        assert report["reaped_segments"] == []
-        assert "tok-live" in registered_tokens()
-        unregister_segments("tok-live")
-
-    def test_reap_unlinks_dead_owner_segments(self):
-        with _untracked_attach():
-            shm = shared_memory.SharedMemory(create=True, size=64)
-        name = shm.name
-        shm.close()
-        dead = _dead_pid()
-        register_segments("tok-dead", [name], pid=dead)
-        assert _segment_exists(name)
-
-        report = reap_orphan_segments()
-        assert name in report["reaped_segments"]
-        assert report["stale_records"] == 1
-        assert not _segment_exists(name)
-        assert registered_tokens(pid=dead) == []
-
-    def test_reap_tolerates_vanished_segments(self):
-        register_segments("tok-gone", ["never-existed"], pid=_dead_pid())
-        report = reap_orphan_segments()
-        assert report["reaped_segments"] == []
-        assert report["stale_records"] == 1
-
-    def test_reap_drops_unreadable_records(self, tmp_path):
-        root = tmp_path / "registry"
-        root.mkdir(exist_ok=True)
-        bad = root / "garbage.json"
-        bad.write_text("{not json")
-        report = reap_orphan_segments()
-        assert report["stale_records"] >= 1
-        assert not bad.exists()
-
-    def test_shared_graph_export_registers_and_cleans_up(self):
-        g = random_connected_graph(40, 20, seed=0)
-        rt = ParallelRuntime(ParallelConfig(workers=2))
-        try:
-            handle = rt.share(g)
-            assert handle.token in registered_tokens()
-        finally:
-            rt.close()
-        # leak assertion extends to supervisor-managed ownership records:
-        # a clean close leaves neither segments nor registry entries behind
-        assert registered_tokens() == []
 
 
 # ---------------------------------------------------------------------------
@@ -233,33 +134,18 @@ class TestSupervisorWatchdog:
             assert rt.report()["pool_restarts"] == 2
 
     def test_supervised_runtime_respawns_pool_once(self):
-        g = random_connected_graph(40, 20, seed=1)
         with _supervised(workers=2, max_pool_restarts=1) as rt:
-            rt.share(g)
             first = rt.executor()
             assert first is not None
             rt.mark_broken()
             assert rt.pool_breaks == 1
             # budget of 1: the next dispatch gets a fresh pool...
-            assert rt.share(g).is_shared  # re-export (the break released the segments)
             second = rt.executor()
             assert second is not None and second is not first
             assert rt.pool_restarts == 1
             # ...but a second collapse retires the tier for good
             rt.mark_broken()
             assert rt.executor() is None
-
-    def test_startup_reaps_orphans(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
-        with _untracked_attach():
-            shm = shared_memory.SharedMemory(create=True, size=32)
-        name = shm.name
-        shm.close()
-        register_segments("tok-orphan", [name], pid=_dead_pid())
-        with _supervised() as rt:
-            assert rt.orphans_reaped == 1
-            assert rt.supervisor_report()["orphans_reaped"] == 1
-        assert not _segment_exists(name)
 
     def test_default_supervised_map_declares_stalled_pool_hung(self):
         """A supervised map with no budget, timeout or fault plan still
@@ -367,13 +253,10 @@ def serial_baseline(chaos_graph):
 
 
 class TestChaosEndToEnd:
-    def test_sigkill_storm_is_bit_identical(
-        self, chaos_graph, serial_baseline, monkeypatch, tmp_path
-    ):
+    def test_sigkill_storm_is_bit_identical(self, chaos_graph, serial_baseline):
         """Every process-pool task SIGKILLs its worker; the supervised run
         degrades, respawns once, degrades again — and still produces the
         exact partition of the fault-free serial baseline."""
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
         plan = ChaosPlan(seed=3, sites=("process",), kill_rate=1.0)
         cfg = PunchConfig(
             assembly=AssemblyConfig(multistart=4),
@@ -391,8 +274,6 @@ class TestChaosEndToEnd:
         report = res.run_report()
         assert report["supervisor"]["enabled"] is True
         assert res.parallel_report.get("pool_breaks", 0) >= 1
-        # pool collapse must not leak segments or ownership records
-        assert registered_tokens() == []
 
     def test_cache_pressure_is_bit_identical(self, chaos_graph, serial_baseline):
         plan = ChaosPlan(
@@ -409,27 +290,6 @@ class TestChaosEndToEnd:
         )
         stats = res.filter_result.natural_stats
         assert stats.cache_pressure_events >= 1
-
-    def test_orphan_reaped_at_supervised_startup(
-        self, chaos_graph, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
-        with _untracked_attach():
-            shm = shared_memory.SharedMemory(create=True, size=128)
-        name = shm.name
-        shm.close()
-        register_segments("tok-crashed-run", [name], pid=_dead_pid())
-
-        base = run_punch(chaos_graph, 30, PunchConfig(seed=7))
-        cfg = PunchConfig(runtime=RuntimeConfig(supervise=True), seed=7)
-        res = run_punch(chaos_graph, 30, cfg)
-
-        assert not _segment_exists(name)
-        sup = res.run_report()["supervisor"]
-        assert sup["enabled"] is True
-        assert sup["orphans_reaped"] == 1
-        # reaping is startup-only housekeeping: the partition is untouched
-        assert np.array_equal(res.partition.labels, base.partition.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,10 @@ def _apply(partition, batch, punch_cfg, update_cfg=None):
     return upd, upd.apply(batch)
 
 
-def test_sigkill_storm_mid_update_is_bit_identical(start, monkeypatch, tmp_path):
+def test_sigkill_storm_mid_update_is_bit_identical(start):
     """Every process-pool task of the localized repair SIGKILLs its worker;
     the supervised update degrades, respawns, and still repairs to the
     exact fault-free partition — so the patched overlay cannot be stale."""
-    monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path / "registry"))
     g, part = start
     batch = synthetic_delta_batch(g, kind="mixed", count=8, seed=1)
 
