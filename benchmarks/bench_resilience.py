@@ -18,9 +18,10 @@ Supervision (``RuntimeConfig(supervise=True)``, applied by the run's
 no-fault run: its liveness scans and heartbeat sentinels may not slow a
 healthy run down.
 ``test_supervisor_overhead`` measures supervised vs. unsupervised
-``run_punch`` on a 2-worker process pool, asserts the partitions stay
-bit-identical, and records everything in ``BENCH_resilience.json`` at the
-repo root (the CI chaos-smoke gate).
+``run_punch`` on a 2-worker process pool the same way (the median ratio of
+``SUP_PAIRS`` alternating plain/supervised pairs), asserts the partitions
+stay bit-identical, and records everything in ``BENCH_resilience.json`` at
+the repo root (the CI chaos-smoke gate).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ U = 128
 #: back-to-back (plain, resilient_map) pairs behind the median ratio
 OVERHEAD_PAIRS = 21
 OVERHEAD_LIMIT = 0.05
-SUP_ROUNDS = 4 if QUICK else 3
+#: alternating (plain, supervised) run_punch pairs behind the median ratio
+SUP_PAIRS = 21
 SUPERVISOR_OVERHEAD_LIMIT = 0.05
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -178,21 +180,26 @@ def _bench_supervised(g) -> dict:
     assert np.array_equal(base.partition.labels, sup.partition.labels)
     assert sup.run_report()["supervisor"]["enabled"] is True
 
-    # interleave the two variants round by round so load drift on the host
-    # hits both equally, and keep the min of each (noise-robust estimator
-    # for a deterministic workload)
-    t_plain = t_supervised = float("inf")
-    for _ in range(SUP_ROUNDS):
-        t0 = time.perf_counter()
-        run(False)
-        t_plain = min(t_plain, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run(True)
-        t_supervised = min(t_supervised, time.perf_counter() - t0)
-    overhead = t_supervised / t_plain - 1.0
+    # alternate the two variants, the supervised half first in every other
+    # pair, and gate on the median per-pair ratio: both halves of a pair see
+    # nearly the same machine load, and the median discards pairs a load
+    # burst split
+    pairs = []
+    for i in range(SUP_PAIRS):
+        if i % 2:
+            t_sup = _timed(lambda: run(True))
+            t_pl = _timed(lambda: run(False))
+        else:
+            t_pl = _timed(lambda: run(False))
+            t_sup = _timed(lambda: run(True))
+        pairs.append((t_pl, t_sup))
+    ratios = [sup / pl for pl, sup in pairs]
+    overhead = float(np.median(ratios)) - 1.0
     return {
-        "t_plain": t_plain,
-        "t_supervised": t_supervised,
+        "t_plain": float(np.median([pl for pl, _ in pairs])),
+        "t_supervised": float(np.median([sup for _, sup in pairs])),
+        "pairs": SUP_PAIRS,
+        "pair_ratios": ratios,
         "overhead": overhead,
         "ok": overhead < SUPERVISOR_OVERHEAD_LIMIT,
     }
@@ -204,7 +211,7 @@ def test_supervisor_overhead(benchmark):
 
     e = benchmark.pedantic(lambda: _bench_supervised(g), rounds=1, iterations=1)
     out = render_table(
-        ["pool", "plain s", "supervised s", "overhead"],
+        ["pool", "median plain s", "median supervised s", "overhead"],
         [
             (
                 "processes",
@@ -216,7 +223,7 @@ def test_supervisor_overhead(benchmark):
         title=(
             f"Execution-supervisor overhead on {NAME} (U={U}, multistart=2, "
             f"2 worker processes; limit {SUPERVISOR_OVERHEAD_LIMIT:.0%}, "
-            f"best of {SUP_ROUNDS})"
+            f"median ratio of {SUP_PAIRS} alternating pairs)"
         ),
     )
     write_result("supervisor_overhead", out)

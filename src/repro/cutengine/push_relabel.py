@@ -3,10 +3,13 @@
 Natural-cut detection (``filtering/natural_cuts.py``) asks one
 :class:`PushRelabelEngine` for its solve chain once per contracted
 core/ring subproblem and walks it until an attempt returns.  The chain is
-the constant :data:`MIN_CUT_SOLVERS`: push-relabel first, then Dinic and
-Edmonds-Karp as independent fallbacks (``docs/RESILIENCE.md`` §2 item 4).
-Every attempt is a pure function of the problem and returns
-``(cut_value, source_side_mask)`` over its local vertices, so a
+the constant :data:`MIN_CUT_SOLVERS`: first ``"auto"`` — scipy's C max flow
+when the capacities are integral and their total fits in int32, the Python
+push-relabel otherwise, chosen from the input and not a fallback — then
+Dinic and Edmonds-Karp as independent fallbacks (``docs/RESILIENCE.md`` §2
+item 4).  Every attempt is a pure function of the problem and returns
+``(cut_value, source_side_mask)`` over its local vertices, the
+source-maximal side whichever link ran, so a fallback marks the same cut, a
 :class:`~repro.perf.cut_cache.CutCache` hit equals a fresh solve and every
 executor marks the same cuts.
 """
@@ -26,9 +29,10 @@ __all__ = ["PushRelabelEngine", "MIN_CUT_SOLVERS", "SolveFn"]
 #: one attempt at solving a cut problem: ``problem -> (value, source_side)``
 SolveFn = Callable[["CutProblem"], Tuple[float, np.ndarray]]
 
-#: flow backends of the min-cut chain, in order: the paper's push-relabel,
-#: then the BFS-based reference solvers (slower, but independent code)
-MIN_CUT_SOLVERS = ("push_relabel", "dinic", "edmonds_karp")
+#: flow backends of the min-cut chain, in order: the C max flow or the
+#: paper's push-relabel, chosen from the capacities, then the BFS-based
+#: reference solvers (slower, but independent code)
+MIN_CUT_SOLVERS = ("auto", "dinic", "edmonds_karp")
 
 
 class PushRelabelEngine:

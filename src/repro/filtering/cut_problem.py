@@ -19,6 +19,12 @@ depends on.
 (vertex count, endpoints, capacities) — two regions that contract to the
 same network have the same min-cut value and source side, so
 :class:`~repro.perf.cut_cache.CutCache` keys on the fingerprint alone.
+
+:func:`solve_cut_problem_sides` solves with ``min_st_cut(solver="auto")``:
+scipy's C max flow when the capacities are integral and their total fits in
+int32, the Python push-relabel otherwise (float weights from ``updates/``
+deltas).  Every backend returns the source-maximal side, so the choice
+never moves a cut.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ class CutProblem:
     center: int = -1
     _fingerprint: bytes | None = field(default=None, repr=False, compare=False)
 
-    def solve(self, solver: str = "push_relabel") -> tuple[float, np.ndarray]:
+    def solve(self, solver: str = "auto") -> tuple[float, np.ndarray]:
         """Solve this instance; see :func:`solve_cut_problem`."""
         return solve_cut_problem(self, solver)
 
@@ -218,19 +224,20 @@ def _assemble_problem(g, n_local, cand_edges, cand_lu, cand_lv, center):
     )
 
 
-def solve_cut_problem(p: CutProblem, solver: str = "push_relabel") -> tuple[float, np.ndarray]:
+def solve_cut_problem(p: CutProblem, solver: str = "auto") -> tuple[float, np.ndarray]:
     """Solve the min s-t cut; returns ``(cut_value, original_cut_edge_ids)``."""
     value, side = solve_cut_problem_sides(p, solver)
     return value, p.cut_edges_of_side(side)
 
 
 def solve_cut_problem_sides(
-    p: CutProblem, solver: str = "push_relabel"
+    p: CutProblem, solver: str = "auto"
 ) -> tuple[float, np.ndarray]:
     """Solve the min s-t cut; returns ``(cut_value, source_side_mask)``.
 
-    The source-side mask is over *local* vertices, so it is reusable for
-    any problem with the same network fingerprint (see
+    The mask is the source-maximal side over *local* vertices, whichever
+    ``solver`` ran (see :func:`~repro.flow.mincut.min_st_cut`), so it is
+    reusable for any problem with the same network fingerprint (see
     :class:`~repro.perf.cut_cache.CutCache`).
     """
     res = min_st_cut(p.n_local, p.net_u, p.net_v, p.net_cap, S_LOCAL, T_LOCAL, solver=solver)

@@ -23,8 +23,10 @@ its subproblems by value.
 
 Resilience (see ``docs/RESILIENCE.md``): subproblems run through
 :func:`~repro.parallel.pool.resilient_map`, each min-cut solve falls back
-along the solve chain ``push_relabel → dinic → edmonds_karp`` when a solver
-raises, and an expired :class:`~repro.runtime.budget.RunBudget` stops the
+along the solve chain ``auto → dinic → edmonds_karp`` when a solver raises
+(``auto`` is scipy's C max flow, or push-relabel on non-integral or
+int32-overflowing capacities; every link returns the same source-maximal
+side, so a fallback never moves a cut), and an expired :class:`~repro.runtime.budget.RunBudget` stops the
 detection early — every skip, retry, fallback, and degradation is counted
 on :class:`NaturalCutStats`.  Skipping a subproblem is always safe: natural
 cuts only *suggest* fragment borders, and fragment extraction enforces the
@@ -192,7 +194,8 @@ def _solve_one(
     network fingerprint and reused for any problem with the same one.  The
     chain comes from
     :meth:`~repro.cutengine.push_relabel.PushRelabelEngine.solve_chain`:
-    push-relabel, then Dinic, then Edmonds-Karp.  Fault injection
+    the C max flow (push-relabel on capacities it cannot take), then Dinic,
+    then Edmonds-Karp, all returning the same side.  Fault injection
     at the ``"flow"`` site is keyed by the problem's center and the position
     in the chain, so a plan with ``max_attempt=0`` fails the primary solve
     and lets the first fallback succeed.

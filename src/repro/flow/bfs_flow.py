@@ -1,9 +1,10 @@
 """Augmenting-path max-flow solvers: Dinic and Edmonds–Karp.
 
 These serve as independent reference implementations to cross-check the
-push-relabel solver (the paper's production choice) in tests, and as
-alternative backends.  Dinic is also competitive on the small, shallow
-natural-cut subproblems.
+push-relabel solver (the paper's production choice) in tests, and as the
+fallbacks of the natural-cut solve chain.  Both read their cut side with
+the shared :func:`~repro.flow.network.source_maximal_side`, so they return
+the same source-maximal side as every other solver.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .network import FlowNetwork
+from .network import FlowNetwork, source_maximal_side
 
 __all__ = ["dinic", "edmonds_karp"]
 
@@ -45,7 +46,6 @@ def dinic(net: FlowNetwork, s: int, t: int) -> Tuple[float, np.ndarray, np.ndarr
     """Dinic's algorithm. Returns ``(value, flow, source_side)``."""
     if s == t:
         raise ValueError("source equals sink")
-    n = net.n
     flow = np.zeros(net.n_arcs, dtype=np.float64)
     adj_start, adj_arcs, arc_to, arc_cap = (
         net.adj_start,
@@ -91,9 +91,7 @@ def dinic(net: FlowNetwork, s: int, t: int) -> Tuple[float, np.ndarray, np.ndarr
                 flow[a] += bottleneck
                 flow[a ^ 1] -= bottleneck
             value += float(bottleneck)
-    level = _level_graph(net, flow, s, t)
-    source_side = level >= 0
-    return value, flow, source_side
+    return value, flow, source_maximal_side(net, flow, s, t)
 
 
 def edmonds_karp(net: FlowNetwork, s: int, t: int) -> Tuple[float, np.ndarray, np.ndarray]:
@@ -142,16 +140,4 @@ def edmonds_karp(net: FlowNetwork, s: int, t: int) -> Tuple[float, np.ndarray, n
             flow[a ^ 1] -= bottleneck
             v = int(arc_to[a ^ 1])
         value += float(bottleneck)
-    # source side = residual-reachable from s
-    side = np.zeros(n, dtype=bool)
-    side[s] = True
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for a in adj_arcs[adj_start[u] : adj_start[u + 1]]:
-            a = int(a)
-            w = int(arc_to[a])
-            if not side[w] and arc_cap[a] - flow[a] > _EPS:
-                side[w] = True
-                q.append(w)
-    return value, flow, side
+    return value, flow, source_maximal_side(net, flow, s, t)

@@ -1,20 +1,26 @@
 """Minimum s-t cut extraction — the operation natural cuts are made of.
 
-``min_st_cut`` takes an undirected capacitated edge list, runs a max-flow
-solver, and returns the cut value, the source-side vertex mask, and the ids
-of the cut edges.  Three backends:
+``min_st_cut`` takes an undirected capacitated edge list, merges parallel
+edges, runs a max-flow solver, and returns the cut value, the source-side
+vertex mask, and the ids of the cut edges.  Backends:
 
-- ``"push_relabel"`` — the paper's solver (FIFO + global relabeling), default.
-- ``"dinic"`` / ``"edmonds_karp"`` — reference solvers for cross-checking.
-- ``"scipy"`` — ``scipy.sparse.csgraph.maximum_flow`` (C implementation) for
-  integer capacities; an engineering escape hatch when subproblems get big.
+- ``"scipy"`` — ``scipy.sparse.csgraph.maximum_flow`` (C Dinic) for
+  capacities that pass :func:`c_solvable`: integral, with a total over both
+  arc directions that fits in int32.  Other capacities raise ``ValueError``.
+- ``"push_relabel"`` — the paper's solver (FIFO + global relabeling) in
+  Python, for any non-negative capacities.
+- ``"dinic"`` / ``"edmonds_karp"`` — Python reference solvers, the
+  fallbacks of the natural-cut solve chain.
+- ``"auto"`` (the default) — ``"scipy"`` when :func:`c_solvable` holds,
+  ``"push_relabel"`` otherwise: chosen from the capacities alone.
 
-Side-extraction convention (pinned by ``tests/test_flow_mincut_sides.py``):
-when the min cut is not unique, ``push_relabel`` returns the
-**source-maximal** side (complement of the residual sink-reachable set)
-while the other backends return the **source-minimal** side (residual BFS
-from ``s``).  Each convention is deterministic, but masks differ across
-backends.
+One side convention (pinned by ``tests/test_flow_mincut_sides.py``): every
+backend reads its side with the shared
+:func:`~repro.flow.network.source_maximal_side`, the backward residual
+search from ``t``, so the side is every vertex that cannot reach ``t`` in
+the residual network.  Of all minimum s-t cuts this source-maximal one is
+unique, so on integral capacities every backend returns the same value and
+the same mask bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfs_flow import dinic, edmonds_karp
-from .network import FlowNetwork
+from .network import FlowNetwork, source_maximal_side
 from .push_relabel import max_preflow
 
-__all__ = ["MinCutResult", "min_st_cut", "SOLVERS"]
+__all__ = ["MinCutResult", "min_st_cut", "c_solvable", "SOLVERS"]
 
 SOLVERS = ("push_relabel", "dinic", "edmonds_karp", "scipy")
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass
@@ -48,31 +56,62 @@ class MinCutResult:
     cut_edges: np.ndarray
 
 
-def _scipy_mincut(n, edge_u, edge_v, cap, s, t):
+def c_solvable(cap: np.ndarray) -> bool:
+    """Whether scipy's C max flow solves a network with capacities ``cap`` exactly.
+
+    It computes in int32: the capacities must be non-negative integers, and
+    their total over both arc directions, which bounds every flow and
+    residual capacity of the solve, must fit in int32.
+    """
+    return (
+        bool(np.all(cap == np.floor(cap)) and np.all(cap >= 0))
+        and 2 * float(cap.sum()) <= _INT32_MAX
+    )
+
+
+def _canonical_edges(n: int, edge_u, edge_v, cap):
+    """One ``(lo, hi)`` edge per vertex pair in ascending order, parallel
+    capacities summed, self-loops dropped.
+
+    Natural-cut networks are built this way already and pass through as is.
+    """
+    lo = np.minimum(edge_u, edge_v)
+    hi = np.maximum(edge_u, edge_v)
+    key = lo * np.int64(n) + hi
+    if np.all(lo < hi) and np.all(key[1:] > key[:-1]):
+        return lo, hi, cap
+    keep = lo != hi
+    key, inv = np.unique(key[keep], return_inverse=True)
+    merged = np.bincount(inv, weights=cap[keep], minlength=len(key))
+    return key // n, key % n, merged
+
+
+def _c_max_flow(net: FlowNetwork, s: int, t: int) -> tuple[float, np.ndarray]:
+    """scipy's C max flow on ``net``; returns ``(value, per-arc flow)``.
+
+    ``net`` must be built from canonical edges: then each of its rows lists
+    every neighbour once in ascending order, the sorted CSR layout scipy
+    takes as it is and returns its flows in.
+    """
+    # local import: scipy.sparse.csgraph doubles the time of `import repro`
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
-    icap = np.rint(cap).astype(np.int64)
-    if not np.allclose(icap, cap):
-        raise ValueError("scipy backend requires integer capacities")
-    rows = np.concatenate([edge_u, edge_v])
-    cols = np.concatenate([edge_v, edge_u])
-    data = np.concatenate([icap, icap])
-    mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-    mat.sum_duplicates()
-    res = maximum_flow(mat, int(s), int(t))
-    residual = mat - res.flow
-    residual.data = (residual.data > 0).astype(np.int64)
-    residual.eliminate_zeros()
-    from scipy.sparse.csgraph import breadth_first_order
-
-    try:
-        order = breadth_first_order(residual, int(s), directed=True, return_predecessors=False)
-    except Exception:  # pragma: no cover - isolated source corner case
-        order = np.asarray([s])
-    side = np.zeros(n, dtype=bool)
-    side[order] = True
-    return float(res.flow_value), side
+    order = net.adj_arcs
+    graph = csr_matrix(
+        (
+            net.arc_cap[order].astype(np.int32),
+            net.arc_to[order].astype(np.int32),
+            net.adj_start.astype(np.int32),
+        ),
+        shape=(net.n, net.n),
+    )
+    res = maximum_flow(graph, s, t)
+    if not np.array_equal(res.flow.indices, graph.indices):
+        raise RuntimeError("scipy returned its flows in another arc layout")
+    flow = np.empty(net.n_arcs, dtype=np.float64)
+    flow[order] = res.flow.data
+    return float(res.flow_value), flow
 
 
 def min_st_cut(
@@ -82,25 +121,29 @@ def min_st_cut(
     cap,
     s: int,
     t: int,
-    solver: str = "push_relabel",
+    solver: str = "auto",
 ) -> MinCutResult:
     """Compute a minimum s-t cut of an undirected capacitated graph."""
     edge_u = np.asarray(edge_u, dtype=np.int64)
     edge_v = np.asarray(edge_v, dtype=np.int64)
     cap = np.asarray(cap, dtype=np.float64)
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    if solver == "auto":
+        solver = "scipy" if c_solvable(cap) else "push_relabel"
+    elif solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS} or 'auto'")
+    elif solver == "scipy" and not c_solvable(cap):
+        raise ValueError("scipy backend requires integral capacities whose total fits in int32")
 
+    net = FlowNetwork(n, *_canonical_edges(n, edge_u, edge_v, cap))
     if solver == "scipy":
-        value, side = _scipy_mincut(n, edge_u, edge_v, cap, s, t)
+        value, flow = _c_max_flow(net, s, t)
+        side = source_maximal_side(net, flow, s, t)
+    elif solver == "push_relabel":
+        value, _, side = max_preflow(net, s, t)
+    elif solver == "dinic":
+        value, _, side = dinic(net, s, t)
     else:
-        net = FlowNetwork(n, edge_u, edge_v, cap)
-        if solver == "push_relabel":
-            value, _, side = max_preflow(net, s, t)
-        elif solver == "dinic":
-            value, _, side = dinic(net, s, t)
-        else:
-            value, _, side = edmonds_karp(net, s, t)
+        value, _, side = edmonds_karp(net, s, t)
 
     cut_edges = np.flatnonzero(side[edge_u] != side[edge_v]).astype(np.int64)
     return MinCutResult(value=value, source_side=side, cut_edges=cut_edges)

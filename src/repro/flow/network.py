@@ -9,13 +9,21 @@ Arcs are stored in pairs: arc ``2e`` is ``u -> v`` and arc ``2e + 1`` is
 ``v -> u`` for the ``e``-th undirected edge, so ``rev(a) == a ^ 1``.  Both
 directions carry the full undirected capacity, which makes the directed
 max-flow value equal the undirected min-cut weight.
+
+:func:`source_maximal_side` is the one cut-side extractor every solver ends
+with: whichever maximum flow (or, for push-relabel, maximum preflow) a
+solver found, it returns the source side of the source-maximal minimum cut,
+which is unique, so all solvers agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FlowNetwork"]
+__all__ = ["FlowNetwork", "source_maximal_side"]
+
+#: relative residual capacity below which an arc counts as saturated
+_RESIDUE = 1e-12
 
 
 class FlowNetwork:
@@ -58,3 +66,35 @@ class FlowNetwork:
     def edge_of_arc(self, a: int) -> int:
         """The undirected edge index an arc belongs to."""
         return a >> 1
+
+
+def source_maximal_side(net: FlowNetwork, flow: np.ndarray, s: int, t: int) -> np.ndarray:
+    """Source side of the source-maximal minimum s-t cut under a maximum (pre)flow.
+
+    The backward residual search from ``t``: a vertex is on the sink side
+    iff it can reach ``t`` along arcs with residual capacity.  That set is
+    the same for every maximum flow and every maximum preflow, so the mask
+    does not depend on which solver produced ``flow``.  A residual below
+    ``1e-12`` of the arc's capacity counts as none: it is the float rounding
+    a saturating push can leave on non-integral capacities (on integral ones
+    every residual is 0 or at least 1).
+    """
+    order = net.adj_arcs
+    # row w at position k holds arc w -> u; u reaches w iff the reverse arc
+    # u -> w (a ^ 1) has residual capacity
+    cap = net.arc_cap
+    opens = ((cap - flow) > _RESIDUE * cap)[order ^ 1].tolist()
+    heads = net.arc_to[order].tolist()
+    start = net.adj_start.tolist()
+    reaches_t = [False] * net.n
+    reaches_t[t] = True
+    stack = [t]
+    while stack:
+        w = stack.pop()
+        for k in range(start[w], start[w + 1]):
+            if opens[k] and not reaches_t[heads[k]]:
+                reaches_t[heads[k]] = True
+                stack.append(heads[k])
+    side = ~np.asarray(reaches_t, dtype=bool)
+    side[s] = True
+    return side

@@ -17,7 +17,9 @@ frequent global relabelings, and the *send* operation performs best"
   vertex above the gap is lifted to ``n`` (it can no longer reach ``t``).
 
 At first-phase termination the minimum cut is ``(V \\ T*, T*)`` where ``T*``
-is the set of vertices that can still reach ``t`` in the residual network.
+is the set of vertices that can still reach ``t`` in the residual network —
+the source-maximal minimum cut, read by the shared
+:func:`~repro.flow.network.source_maximal_side`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Tuple
 import numpy as np
 
 from ..graph.csr import gather_csr_rows
-from .network import FlowNetwork
+from .network import FlowNetwork, source_maximal_side
 
 __all__ = ["max_preflow", "global_relabel_reference"]
 
@@ -223,10 +225,4 @@ def max_preflow(
         if excess[v] > 0 and h[v] < n:
             activate(v)
 
-    value = float(excess[t])
-    # source side of the min cut: vertices that cannot reach t in the residual
-    dist = _global_relabel(net, flow, s, t)
-    source_side = dist >= n
-    source_side[t] = False
-    source_side[s] = True
-    return value, flow, source_side
+    return float(excess[t]), flow, source_maximal_side(net, flow, s, t)

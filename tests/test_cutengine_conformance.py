@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cutengine import PushRelabelEngine
+from repro.filtering.cut_problem import solve_cut_problem_sides
 from repro.filtering.natural_cuts import collect_cut_problems, detect_natural_cuts
 from repro.perf.cut_cache import CutCache
 from repro.synthetic import road_network
@@ -144,10 +145,11 @@ class TestEngineConformance:
 
 class TestSolveChain:
     def test_chain_is_the_constant_min_cut_chain(self, problems):
-        # push-relabel first, then the independent BFS-based fallbacks
+        # the C max flow or push-relabel, chosen from the capacities, then
+        # the independent BFS-based fallbacks
         chain = PushRelabelEngine().solve_chain(problems[0])
         solvers = [attempt.keywords["solver"] for attempt in chain]
-        assert solvers == ["push_relabel", "dinic", "edmonds_karp"]
+        assert solvers == ["auto", "dinic", "edmonds_karp"]
 
     def test_chain_looked_up_once_per_subproblem(self, monkeypatch):
         # detection asks the class for its chain at solve time, so wrapping
@@ -164,3 +166,95 @@ class TestSolveChain:
         _, stats = detect_natural_cuts(g, 48, C=1, rng=np.random.default_rng(0))
         assert stats.problems_solved > 0
         assert len(calls) == stats.problems_solved
+
+
+@pytest.fixture(scope="module")
+def mini_sweep():
+    """Every subproblem of one mini_like coverage sweep at U=160."""
+    from repro.synthetic.instances import instance
+
+    return collect_cut_problems(instance("mini_like"), 160, 1.0, 10.0, np.random.default_rng(0))
+
+
+def _rescaled(g, scale):
+    """``g`` with every edge weight multiplied by ``scale`` (a number or one
+    factor per edge)."""
+    from repro.graph.builder import build_graph
+
+    return build_graph(
+        g.n, g.edge_u, g.edge_v, weights=g.ewgt * scale, sizes=g.vsize, coords=g.coords
+    )
+
+
+class TestBackendRouting:
+    """One side for every backend, and the C / push-relabel choice."""
+
+    def test_every_backend_same_value_and_side(self, mini_sweep):
+        # the differential check behind "a fallback marks the same cut"
+        assert len(mini_sweep) >= 50
+        for prob in mini_sweep:
+            ref_value, ref_side = solve_cut_problem_sides(prob, "scipy")
+            for solver in ("auto", "push_relabel", "dinic", "edmonds_karp"):
+                value, side = solve_cut_problem_sides(prob, solver)
+                assert value == ref_value, (prob.center, solver)
+                assert np.array_equal(side, ref_side), (prob.center, solver)
+
+    # 2**-40 makes every integral weight non-integral; 2**30 pushes every
+    # network's total past int32.  Both are powers of two, so the scaled
+    # solve runs in exact float arithmetic.
+    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**30], ids=["non_integral", "above_int32"])
+    def test_capacities_c_cannot_take_go_to_push_relabel(self, monkeypatch, scale):
+        import repro.flow.mincut as mincut
+
+        calls = {"c": 0, "push_relabel": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(mincut, "_c_max_flow", spy("c", mincut._c_max_flow))
+        monkeypatch.setattr(mincut, "max_preflow", spy("push_relabel", mincut.max_preflow))
+        g = _rescaled(road_network(n_target=300, seed=2), 1.0)
+        scaled = _rescaled(g, scale)
+
+        cut_ids, stats = detect_natural_cuts(scaled, 48, C=1, rng=np.random.default_rng(0))
+        assert stats.problems_solved > 0
+        assert stats.solver_fallbacks == 0
+        assert calls == {"c": 0, "push_relabel": stats.problems_solved}
+
+        # scaling every capacity by one positive constant keeps the
+        # source-maximal side: the same cuts as the C path on the integers
+        ref_ids, ref_stats = detect_natural_cuts(g, 48, C=1, rng=np.random.default_rng(0))
+        assert calls["c"] == ref_stats.problems_solved
+        assert ref_stats.solver_fallbacks == 0
+        assert np.array_equal(cut_ids, ref_ids)
+        assert stats.total_cut_value == pytest.approx(ref_stats.total_cut_value * scale)
+
+    def test_fallbacks_match_push_relabel_on_float_capacities(self):
+        # non-integral weights go to push-relabel; a Dinic or Edmonds-Karp
+        # fallback must still mark the same minimum cut, although float
+        # rounding leaves residues on the arcs their pushes saturate
+        g0 = road_network(n_target=600, seed=4)
+        rng = np.random.default_rng(1)
+        g = _rescaled(g0, rng.uniform(0.3, 3.0, g0.m))
+        for prob in collect_cut_problems(g, 64, 1.0, 10.0, np.random.default_rng(0)):
+            value, side = solve_cut_problem_sides(prob, "push_relabel")
+            assert crossing_capacity(prob, side) == pytest.approx(value, rel=1e-9)
+            for solver in ("dinic", "edmonds_karp"):
+                v, s = solve_cut_problem_sides(prob, solver)
+                assert v == pytest.approx(value, rel=1e-9), (prob.center, solver)
+                assert np.array_equal(s, side), (prob.center, solver)
+
+    def test_c_solvable_bounds(self):
+        from repro.flow.mincut import c_solvable
+
+        assert c_solvable(np.array([1.0, 2.0, 3.0]))
+        assert not c_solvable(np.array([1.0, 2.5]))
+        limit = float(np.iinfo(np.int32).max // 2)
+        assert c_solvable(np.array([limit]))
+        assert not c_solvable(np.array([limit, 1.0]))
+        assert not c_solvable(np.array([np.nan]))
+        assert not c_solvable(np.array([np.inf]))

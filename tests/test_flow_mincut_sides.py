@@ -1,18 +1,15 @@
 """Direct unit tests for residual-graph side extraction in ``flow/mincut.py``.
 
-The backends pin *different* canonical min cuts when several exist:
+Every backend — scipy's C max flow, push-relabel, Dinic, Edmonds-Karp —
+reads its side with the one extractor
+:func:`repro.flow.network.source_maximal_side`: the complement of the set
+of vertices that can still reach ``t`` in the residual graph.  That is the
+**source-maximal** minimum cut, which is unique, so when several minimum
+cuts exist every backend still returns the same mask.
 
-- ``dinic`` / ``edmonds_karp`` / ``scipy`` return the **source-minimal**
-  cut — the set of vertices reachable from ``s`` in the residual graph
-  (a BFS from ``s``), which is the same for every maximum flow;
-- ``push_relabel`` returns the **source-maximal** cut — the complement of
-  the set that can still reach ``t`` in the residual graph.
-
-By the min-cut lattice property the source-minimal side is contained in
-every min-cut source side, which is contained in the source-maximal side.
-These conventions are deterministic per solver (this is the tie-breaking
-order the suite pins), but they differ *across* solvers whenever the min
-cut is not unique.
+By the min-cut lattice property the source-minimal side (the residual BFS
+from ``s``, computed here by the tests themselves) is contained in every
+min-cut source side, so it is contained in the side the backends return.
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.flow import FlowNetwork, edmonds_karp
 from repro.flow.mincut import SOLVERS, min_st_cut
 
 try:  # the scipy backend is optional at runtime
@@ -29,8 +27,8 @@ try:  # the scipy backend is optional at runtime
 except ImportError:  # pragma: no cover - scipy is in the base image
     _SOLVERS = tuple(s for s in SOLVERS if s != "scipy")
 
-#: backends whose side is the residual BFS from s (source-minimal cut)
-_MINIMAL_SIDE_SOLVERS = tuple(s for s in _SOLVERS if s != "push_relabel")
+#: backends built on BFS augmenting paths (scipy's C Dinic among them)
+_BFS_SOLVERS = tuple(s for s in _SOLVERS if s != "push_relabel")
 
 
 def _mask(n, true_ids):
@@ -89,7 +87,7 @@ class TestUniqueCutSideExtraction:
 
 
 class TestTieBreakingConventions:
-    """Instances with several min cuts: pin each backend's canonical pick."""
+    """Instances with several min cuts: every backend takes the source-maximal one."""
 
     # diamond s->a->t / s->b->t, all caps 1: {s} and {s,a,b} are both min
     # cuts of value 2
@@ -97,14 +95,15 @@ class TestTieBreakingConventions:
     # s -2- a -2- b -2- t: every single edge is a min cut of value 2
     UNIFORM_PATH = (4, [0, 1, 2], [1, 2, 3], [2.0, 2.0, 2.0], 0, 3)
 
-    @pytest.mark.parametrize("solver", _MINIMAL_SIDE_SOLVERS)
-    def test_bfs_solvers_take_source_minimal_diamond(self, solver):
-        # both source edges saturate, so the residual BFS from s stops
-        # immediately: the pinned side is {s}, cut edges are the s-edges
+    @pytest.mark.parametrize("solver", _BFS_SOLVERS)
+    def test_bfs_solvers_take_source_maximal_diamond(self, solver):
+        # whichever flow the solver found, only t's own edges still carry
+        # residual capacity towards t: the side is {s, a, b}, the cut edges
+        # are the t-edges — push-relabel's side
         res = min_st_cut(*self.DIAMOND, solver=solver)
         assert res.value == pytest.approx(2.0)
-        assert np.array_equal(res.source_side, _mask(4, [0]))
-        assert sorted(res.cut_edges.tolist()) == [0, 1]
+        assert np.array_equal(res.source_side, _mask(4, [0, 1, 2]))
+        assert sorted(res.cut_edges.tolist()) == [2, 3]
 
     def test_push_relabel_takes_source_maximal_diamond(self):
         # push-relabel keeps everything that cannot reach t: the pinned
@@ -114,12 +113,12 @@ class TestTieBreakingConventions:
         assert np.array_equal(res.source_side, _mask(4, [0, 1, 2]))
         assert sorted(res.cut_edges.tolist()) == [2, 3]
 
-    @pytest.mark.parametrize("solver", _MINIMAL_SIDE_SOLVERS)
-    def test_bfs_solvers_take_leftmost_uniform_path(self, solver):
+    @pytest.mark.parametrize("solver", _BFS_SOLVERS)
+    def test_bfs_solvers_take_rightmost_uniform_path(self, solver):
         res = min_st_cut(*self.UNIFORM_PATH, solver=solver)
         assert res.value == pytest.approx(2.0)
-        assert np.array_equal(res.source_side, _mask(4, [0]))
-        assert res.cut_edges.tolist() == [0]
+        assert np.array_equal(res.source_side, _mask(4, [0, 1, 2]))
+        assert res.cut_edges.tolist() == [2]
 
     def test_push_relabel_takes_rightmost_uniform_path(self):
         res = min_st_cut(*self.UNIFORM_PATH, solver="push_relabel")
@@ -142,42 +141,73 @@ def _random_network(rng, n):
     return u, v, cap
 
 
+def _source_minimal_side(n, u, v, cap):
+    """The residual BFS from s under one maximum flow: the source-minimal
+    min-cut side, the bottom of the min-cut lattice."""
+    net = FlowNetwork(n, u, v, cap)
+    _, flow, _ = edmonds_karp(net, 0, n - 1)
+    side = np.zeros(n, dtype=bool)
+    side[0] = True
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for a in net.arcs_of(x):
+            w = int(net.arc_to[a])
+            if not side[w] and net.arc_cap[a] - flow[a] > 0:
+                side[w] = True
+                stack.append(w)
+    return side
+
+
 class TestCrossSolverSideProperties:
     @pytest.mark.parametrize("seed", range(10))
     def test_bfs_solvers_identical_masks(self, seed):
-        # all source-minimal backends extract the same (unique) set — the
-        # residual-reachable closure of s is independent of which max flow
-        # the solver happened to find
+        # the BFS-based backends extract the same (unique) set — the
+        # residual closure of t is independent of which max flow the
+        # solver happened to find
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 14))
         u, v, cap = _random_network(rng, n)
         results = {
             s: min_st_cut(n, u, v, cap, 0, n - 1, solver=s)
-            for s in _MINIMAL_SIDE_SOLVERS
+            for s in _BFS_SOLVERS
         }
-        base = results[_MINIMAL_SIDE_SOLVERS[0]]
+        base = results[_BFS_SOLVERS[0]]
         for s, res in results.items():
             assert res.value == pytest.approx(base.value), s
             assert np.array_equal(res.source_side, base.source_side), s
             assert np.array_equal(res.cut_edges, base.cut_edges), s
 
     @pytest.mark.parametrize("seed", range(10))
+    def test_every_backend_returns_the_same_side(self, seed):
+        # one side convention: every backend, and the default "auto"
+        # routing, returns the same value, mask and cut edges
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(6, 14))
+        u, v, cap = _random_network(rng, n)
+        base = min_st_cut(n, u, v, cap, 0, n - 1, solver="push_relabel")
+        for s in _SOLVERS + ("auto",):
+            res = min_st_cut(n, u, v, cap, 0, n - 1, solver=s)
+            assert res.value == base.value, s
+            assert np.array_equal(res.source_side, base.source_side), s
+            assert np.array_equal(res.cut_edges, base.cut_edges), s
+
+    @pytest.mark.parametrize("seed", range(10))
     def test_lattice_nesting_and_equal_values(self, seed):
-        # min-cut lattice: the source-minimal side (BFS solvers) is nested
-        # inside push-relabel's source-maximal side, and both are min-cut
+        # min-cut lattice: the source-minimal side is nested inside the
+        # source-maximal side every backend returns, and both are min-cut
         # certificates of the same value
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(6, 14))
         u, v, cap = _random_network(rng, n)
         ua, va = np.asarray(u), np.asarray(v)
-        lo = min_st_cut(n, u, v, cap, 0, n - 1, solver="edmonds_karp")
-        hi = min_st_cut(n, u, v, cap, 0, n - 1, solver="push_relabel")
-        assert hi.value == pytest.approx(lo.value)
-        assert np.all(hi.source_side[lo.source_side]), "minimal ⊆ maximal violated"
-        for res in (lo, hi):
-            assert bool(res.source_side[0]) and not bool(res.source_side[n - 1])
-            crossing = res.source_side[ua] != res.source_side[va]
-            assert res.value == pytest.approx(cap[crossing].sum())
+        lo = _source_minimal_side(n, u, v, cap)
+        hi = min_st_cut(n, u, v, cap, 0, n - 1, solver="edmonds_karp")
+        assert np.all(hi.source_side[lo]), "minimal ⊆ maximal violated"
+        assert cap[lo[ua] != lo[va]].sum() == pytest.approx(hi.value)
+        assert bool(hi.source_side[0]) and not bool(hi.source_side[n - 1])
+        crossing = hi.source_side[ua] != hi.source_side[va]
+        assert hi.value == pytest.approx(cap[crossing].sum())
 
     @pytest.mark.parametrize("solver", _SOLVERS)
     @pytest.mark.parametrize("seed", (0, 1))

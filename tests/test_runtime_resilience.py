@@ -19,6 +19,7 @@ from repro.balanced.driver import run_balanced_punch
 from repro.core.config import BalancedConfig
 from repro.filtering.natural_cuts import collect_cut_problems, detect_natural_cuts
 from repro.runtime.checkpoint import load_checkpoint
+from repro.synthetic.instances import instance
 
 from .conftest import TickClock
 
@@ -56,6 +57,24 @@ class TestFaultedNaturalCuts:
         assert stats.skipped == 0  # the fallback solver rescued every solve
         assert stats.problems_solved > 0
         assert len(cut_ids) == stats.cut_edges_marked
+
+    @pytest.mark.parametrize("U", [64, 96])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solver_fallbacks_keep_the_labels(self, U, seed):
+        """Half the primary solves fail: a subproblem rescued by a fallback
+        solver marks the same cut, because every link of the solve chain
+        returns the source-maximal side — the labels equal the fault-free
+        run's, and the report counts the fallbacks."""
+        g = instance("mini_like")
+        plan = FaultPlan(seed=5, failure_rate=0.5, max_attempt=0, sites=("flow",))
+        clean = run_punch(g, U, PunchConfig(seed=seed))
+        faulted = run_punch(
+            g,
+            U,
+            PunchConfig(seed=seed, runtime=RuntimeConfig(fault_plan=plan, backoff_base=0.0)),
+        )
+        assert faulted.run_report()["solver_fallbacks"] > 0
+        assert np.array_equal(faulted.partition.labels, clean.partition.labels)
 
     def test_unrecoverable_faults_skip_but_finish(self, tiny_road):
         # every solver in the chain fails for the selected problems: they
